@@ -29,11 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import NumericalSemigroup, contains, make_semigroup
-from .errors import (
-    BoundTooLargeError,
-    ConsistencyError,
-    MalformedRecordError,
-)
+from .errors import BoundTooLargeError, MalformedRecordError
 from .gluing import is_complete_intersection
 from .star import (
     EXCEPTION_TAGS,
@@ -41,7 +37,7 @@ from .star import (
     StarReport,
     StarVerdict,
     _pattern_class,
-    classify_exception,
+    expected_verdict,
     star_report,
 )
 
@@ -125,10 +121,7 @@ def _walk(semigroup: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSe
             yield from _walk(child, max_genus)
 
 
-def enumerate_semigroups(
-    max_genus: int, *, ceiling: int | None = None
-) -> Iterator[NumericalSemigroup]:
-    """Every numerical semigroup of genus <= max_genus, depth-first."""
+def _check_bound(max_genus: int, ceiling: int | None) -> None:
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
     limit = ceiling if ceiling is not None else work_ceiling()
@@ -136,25 +129,28 @@ def enumerate_semigroups(
         raise BoundTooLargeError(
             f"genus bound {max_genus} exceeds the work ceiling {limit}"
         )
+
+
+def enumerate_semigroups(
+    max_genus: int, *, ceiling: int | None = None
+) -> Iterator[NumericalSemigroup]:
+    """Every numerical semigroup of genus <= max_genus, depth-first."""
+    _check_bound(max_genus, ceiling)
     return _walk(natural_numbers(), max_genus)
 
 
 def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
+    # the tag is not checked against the verdict here: summarize() turns a
+    # disagreement into a counterexample, so the sweep keeps going
     ci = is_complete_intersection(semigroup)
-    star = star_report(semigroup)
-    try:
-        tag = classify_exception(semigroup)
-    except ConsistencyError:
-        # keep sweeping; summarize() turns the disagreement into a counterexample
-        tag = _pattern_class(semigroup, ci)
     return CensusRecord(
         generators=semigroup.generators,
         genus=semigroup.genus,
         frobenius=semigroup.frobenius,
         embedding_dim=semigroup.embedding_dim,
         is_ci=ci,
-        star=star,
-        exception=tag,
+        star=star_report(semigroup),
+        exception=_pattern_class(semigroup, ci),
     )
 
 
@@ -172,13 +168,7 @@ def enumerate_records(
     jobs > 1 fans subtrees rooted at genus _SPLIT_GENUS out to worker
     processes; the canonical sort makes the result identical either way.
     """
-    limit = ceiling if ceiling is not None else work_ceiling()
-    if max_genus > limit:
-        raise BoundTooLargeError(
-            f"genus bound {max_genus} exceeds the work ceiling {limit}"
-        )
-    if max_genus < 0:
-        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+    _check_bound(max_genus, ceiling)
     if jobs <= 1 or max_genus <= _SPLIT_GENUS:
         records = [record_for(s) for s in _walk(natural_numbers(), max_genus)]
     else:
@@ -223,12 +213,7 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
             ci_count += 1
         if record.exception in EXCEPTION_TAGS:
             exceptions.append(record.generators)
-            expected = StarVerdict.FAILED
-        elif record.exception is ExceptionClass.SATISFIES:
-            expected = StarVerdict.SATISFIED
-        else:
-            expected = StarVerdict.UNDEFINED
-        if record.star.verdict is not expected:
+        if record.star.verdict is not expected_verdict(record.exception):
             counterexamples.append(record.generators)
     return VerificationSummary(
         bound=bound,
@@ -261,26 +246,47 @@ def record_to_doc(record: CensusRecord) -> dict:
     }
 
 
+def _integer(value, name: str, where: str) -> int:
+    # json.loads yields int only for integer literals; bool is excluded too
+    if type(value) is not int:
+        raise MalformedRecordError(f"{where}: {name} must be an integer, got {value!r}")
+    return value
+
+
 def _record_from_doc(doc: dict, where: str) -> CensusRecord:
     if not isinstance(doc, dict):
         raise MalformedRecordError(f"{where}: not a JSON object")
     missing = [f for f in RECORD_FIELDS if f not in doc]
     if missing:
         raise MalformedRecordError(f"{where}: missing fields {missing}")
+    if not isinstance(doc["generators"], list):
+        raise MalformedRecordError(
+            f"{where}: generators must be a list, got {doc['generators']!r}"
+        )
+    generators = tuple(_integer(a, "generator", where) for a in doc["generators"])
+    if any(a < 1 for a in generators):
+        raise MalformedRecordError(f"{where}: generators must be >= 1, got {list(generators)}")
+    genus = _integer(doc["genus"], "genus", where)
+    frobenius = _integer(doc["frobenius"], "frobenius", where)
+    embedding_dim = _integer(doc["embedding_dim"], "embedding_dim", where)
+    is_ci = doc["is_ci"]
+    if not isinstance(is_ci, bool):
+        raise MalformedRecordError(f"{where}: is_ci must be a boolean, got {is_ci!r}")
     try:
-        generators = tuple(int(a) for a in doc["generators"])
-        genus = int(doc["genus"])
-        frobenius = int(doc["frobenius"])
-        embedding_dim = int(doc["embedding_dim"])
-        is_ci = bool(doc["is_ci"])
         verdict = StarVerdict(doc["star_verdict"])
-        d_max = doc["d_max"]
-        if d_max is not None:
-            d_max = int(d_max)
         exception = ExceptionClass(doc["exception"])
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise MalformedRecordError(f"{where}: {err}") from None
-    margin = None if d_max is None else 2 * frobenius - d_max
+    d_max = doc["d_max"]
+    if (d_max is None) != (verdict is StarVerdict.UNDEFINED):
+        raise MalformedRecordError(
+            f"{where}: d_max must be null exactly when star_verdict is undefined, "
+            f"got d_max={d_max!r} with {verdict.value}"
+        )
+    margin = None
+    if d_max is not None:
+        d_max = _integer(d_max, "d_max", where)
+        margin = 2 * frobenius - d_max
     return CensusRecord(
         generators=generators,
         genus=genus,

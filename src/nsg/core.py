@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import EmptyInputError, NotAnElementError, NotCoprimeError
+from .errors import ConsistencyError, EmptyInputError, NotAnElementError, NotCoprimeError
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def _apery_entries(gens, m: int) -> tuple[int, ...]:
                 if cur is None or nd < cur:
                     dist[nr] = nd
                     changed = True
-    assert all(d is not None for d in dist), "unreachable residue despite gcd 1"
+    if None in dist:
+        raise ConsistencyError(f"unreachable residue mod {m} from generators {list(gens)}")
     return tuple(dist)  # type: ignore[arg-type]
 
 
@@ -157,13 +158,11 @@ def frobenius(semigroup: NumericalSemigroup) -> int:
 
 def gaps(semigroup: NumericalSemigroup) -> list[int]:
     """All positive integers outside the semigroup, ascending."""
-    out = [
+    return [
         n
         for n in range(1, semigroup.frobenius + 1)
         if not contains(semigroup, n)
     ]
-    assert len(out) == semigroup.genus
-    return out
 
 
 def parse_generators(text: str) -> list[int]:

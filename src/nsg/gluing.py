@@ -13,8 +13,9 @@ lambda * mu and at least lambda * mu.  Consequences used throughout:
 A semigroup is a complete intersection exactly when its minimal presentation
 has (number of generators - 1) relations, and equivalently (apart from N
 itself, which is trivially one) when it is a gluing of two smaller complete
-intersections.  ci_tree builds that recursive certificate; callers that only
-need the boolean get both routes cross-checked.
+intersections (Delorme, 1976).  ci_tree builds that recursive certificate and
+is_complete_intersection decides by it alone; the tests check the relation
+count against it.
 
 For complete intersections the a-invariant is sum(relation degrees) minus
 sum(generators), and it coincides with the Frobenius number.
@@ -36,7 +37,7 @@ from .errors import (
     NotCompleteIntersectionError,
     NotCoprimeError,
 )
-from .presentations import minimal_presentation, relation_degrees
+from .presentations import relation_degrees
 
 
 @dataclass(frozen=True)
@@ -242,22 +243,14 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
 
 
 def is_complete_intersection(semigroup: NumericalSemigroup) -> bool:
-    """Whether the minimal presentation has exactly generators - 1 relations.
+    """Whether the semigroup is a complete intersection.
 
-    Decided by counting, then cross-checked against the existence of a
-    gluing tree; the two must agree, and a mismatch is an internal bug,
-    not a property of the input.
+    Decided by the existence of a gluing tree alone, which by Delorme's
+    characterization is equivalent to the minimal presentation having
+    exactly generators - 1 relations; a semigroup that is not a complete
+    intersection never has its own presentation built.
     """
-    by_count = (
-        len(minimal_presentation(semigroup).relations)
-        == semigroup.embedding_dim - 1
-    )
-    by_tree = ci_tree(semigroup) is not None
-    if by_count != by_tree:
-        raise ConsistencyError(
-            f"{semigroup}: relation count says ci={by_count}, gluing tree says {by_tree}"
-        )
-    return by_count
+    return ci_tree(semigroup) is not None
 
 
 def a_invariant(semigroup: NumericalSemigroup) -> int:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import NumericalSemigroup, contains
-from .errors import ConsistencyError, NegativeElementError
+from .errors import NegativeElementError
 
 
 class Factorization(NamedTuple):
@@ -171,9 +171,7 @@ def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
 
     Scans n <= F(S) + a_{e-1} + a_e.  The bound is safe: past it, every
     n - a_i - a_j exceeds F(S), so the certificate graph of
-    _certainly_one_class is complete and every fiber is one class.  A margin
-    of one further generator is rechecked by full enumeration anyway, as an
-    empirical guard on the bound and on the scan itself.
+    _certainly_one_class is complete and every fiber is one class.
     """
     if semigroup.embedding_dim <= 1:
         return []
@@ -183,13 +181,6 @@ def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
     for n in range(2 * semigroup.multiplicity, bound + 1):
         if contains(semigroup, n) and _class_count(semigroup, n) >= 2:
             out.append(n)
-    for n in range(bound + 1, bound + gens[-1] + 1):
-        if contains(semigroup, n):
-            fiber = _coords(semigroup, n)
-            if len(_partition(fiber)) != 1:
-                raise ConsistencyError(
-                    f"Betti element {n} of {semigroup} beyond the scan bound {bound}"
-                )
     return out
 
 

@@ -52,6 +52,19 @@ EXCEPTION_TAGS = frozenset(
 )
 
 
+def expected_verdict(tag: ExceptionClass) -> StarVerdict:
+    """The star verdict a tag promises.
+
+    Exception tags promise failed, satisfies promises satisfied, and
+    not_ci and undefined promise undefined.
+    """
+    if tag in EXCEPTION_TAGS:
+        return StarVerdict.FAILED
+    if tag is ExceptionClass.SATISFIES:
+        return StarVerdict.SATISFIED
+    return StarVerdict.UNDEFINED
+
+
 @dataclass(frozen=True)
 class StarReport:
     frobenius: int
@@ -132,18 +145,13 @@ def _pattern_class(semigroup: NumericalSemigroup, ci: bool) -> ExceptionClass:
 def classify_exception(semigroup: NumericalSemigroup) -> ExceptionClass:
     """Exception taxonomy tag, with the star verdict double-checked.
 
-    The tag is decided purely by the generator pattern; the computed star
-    report must then agree (exception tags mean failed, satisfies means
-    satisfied, the rest undefined).  Disagreement raises ConsistencyError.
+    The tag is decided by the generator pattern and complete intersection
+    membership alone; the computed star report must then give the verdict
+    expected_verdict promises for it.  Disagreement raises ConsistencyError.
     """
     tag = _pattern_class(semigroup, is_complete_intersection(semigroup))
     verdict = star_report(semigroup).verdict
-    if tag in EXCEPTION_TAGS:
-        expected = StarVerdict.FAILED
-    elif tag is ExceptionClass.SATISFIES:
-        expected = StarVerdict.SATISFIED
-    else:
-        expected = StarVerdict.UNDEFINED
+    expected = expected_verdict(tag)
     if verdict is not expected:
         raise ConsistencyError(
             f"{semigroup}: pattern tag {tag.value} expects star verdict "
@@ -164,11 +172,7 @@ def small_exceptions(m: int, n: int) -> SmallExceptionRecord:
     if gcd(m, n) != 1:
         raise InvalidPairError(f"gcd({m}, {n}) != 1")
     double_delta = m * n - 2 * m - 2 * n
-    is_exception = double_delta <= 0
-    assert double_delta >= -4
-    pattern = m == 2 or (m, n) in ((3, 4), (3, 5))
-    assert is_exception == pattern
-    return SmallExceptionRecord(double_delta=double_delta, is_exception=is_exception)
+    return SmallExceptionRecord(double_delta=double_delta, is_exception=double_delta <= 0)
 
 
 def check_star_gluing(

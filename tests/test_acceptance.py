@@ -185,7 +185,11 @@ def _gluing_identities_hold(left, right, lam, mu):
     expected += Counter(lam * x for x in relation_degrees(right))
     expected[d] += 1
     degrees_ok = Counter(relation_degrees(glued)) == expected
-    return glued, frob_ok and degrees_ok and d % (lam * mu) == 0
+    # Delorme: a gluing is a complete intersection exactly when both sides are
+    tree_ok = (ci_tree(glued) is not None) == (
+        ci_tree(left) is not None and ci_tree(right) is not None
+    )
+    return glued, frob_ok and degrees_ok and tree_ok and d % (lam * mu) == 0
 
 
 def test_criterion_5_gluing_identities_at_scale():

@@ -58,6 +58,9 @@ def test_enumerate_rejects_bad_bounds():
         list(enumerate_semigroups(DEFAULT_WORK_CEILING + 1))
     with pytest.raises(BoundTooLargeError):
         enumerate_records(5, ceiling=4)
+    # both entry points check the sign before the ceiling
+    with pytest.raises(ValueError):
+        enumerate_records(-1, ceiling=-2)
 
 
 def test_work_ceiling_env_override(monkeypatch):
@@ -135,6 +138,18 @@ def test_malformed_records_name_the_line():
     bad_verdict = good.replace('"failed"', '"maybe"')
     with pytest.raises(MalformedRecordError, match="line 2"):
         list(read_records(io.StringIO(good + "\n" + bad_verdict + "\n")))
+    doc = json.loads(good)
+    for field, value, reason in [
+        ("generators", "45", "generators must be a list"),
+        ("generators", [0, 1], "generators must be >= 1"),
+        ("genus", True, "genus must be an integer"),
+        ("is_ci", "false", "is_ci must be a boolean"),
+        ("frobenius", 2.9, "frobenius must be an integer"),
+        ("d_max", None, "d_max must be null exactly when"),
+    ]:
+        bad = json.dumps({**doc, field: value})
+        with pytest.raises(MalformedRecordError, match=f"line 2: {reason}"):
+            list(read_records(io.StringIO(good + "\n" + bad + "\n")))
 
 
 def test_record_doc_field_order():

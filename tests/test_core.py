@@ -1,8 +1,12 @@
 """Construction, membership, Apery data, and the derived invariants."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nsg
 from nsg import (
     EmptyInputError,
     NotAnElementError,
@@ -183,3 +187,16 @@ def test_frobenius_from_any_apery_table(gens):
 def test_frobenius_accessor():
     s = make_semigroup([5, 8, 12])
     assert frobenius(s) == s.frobenius == 19
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so runtime checks must raise instead
+    found = []
+    for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -7,6 +7,8 @@ from nsg import (
     Factorization,
     NegativeElementError,
     betti_elements,
+    ci_tree,
+    enumerate_semigroups,
     factorizations,
     make_semigroup,
     minimal_presentation,
@@ -118,6 +120,33 @@ def test_presentation_size_counts_extra_classes():
         expected = sum(len(r_classes(s, b)) - 1 for b in betti_elements(s))
         assert len(pres.relations) == expected
         assert pres.degrees == tuple(sorted(r.degree for r in pres.relations))
+
+
+def test_ci_routes_and_betti_scan_bound_through_genus_15():
+    # the library decides CI by the gluing tree alone and stops the Betti
+    # scan at F + a_{e-1} + a_e; here the relation count must agree with the
+    # tree, and the next a_e elements past the bound must be single-class
+    mismatches = []
+    beyond_bound = []
+    semigroups = 0
+    window_fibers = 0
+    for s in enumerate_semigroups(15):
+        semigroups += 1
+        by_count = len(minimal_presentation(s).relations) == s.embedding_dim - 1
+        if by_count != (ci_tree(s) is not None):
+            mismatches.append(s.generators)
+        if s.embedding_dim < 2:
+            continue
+        bound = s.frobenius + s.generators[-2] + s.generators[-1]
+        for n in range(bound + 1, bound + s.generators[-1] + 1):
+            if n in s:
+                window_fibers += 1
+                if len(r_classes(s, n)) != 1:
+                    beyond_bound.append((s.generators, n))
+    assert semigroups == 6964
+    assert window_fibers == 158081
+    assert mismatches == []
+    assert beyond_bound == []
 
 
 def test_presentation_is_deterministic():
