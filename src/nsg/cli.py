@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end, run as `nsg` or `python -m nsg`.
 
 One subcommand per library operation, each with --format text|json.  Exit
 codes: 0 on success, 1 on domain errors (bad semigroup input, unmet
@@ -50,18 +50,18 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _emit(args, doc: dict, lines: list[str]) -> None:
+def _emit(args, doc: dict, rows) -> None:
+    """Print doc as JSON, or the (label, value) pairs rows() returns as text.
+
+    rows is only called for text output, so JSON output never formats them.
+    """
     if args.format == "json":
         print(json.dumps(doc))
-    else:
-        width = max(len(label) for label, _ in (line.split(":", 1) for line in lines)) if lines else 0
-        for line in lines:
-            label, _, rest = line.partition(":")
-            print(f"{label + ':':<{width + 2}}{rest.strip()}" if rest else line)
-
-
-def _tabled(pairs: list[tuple[str, object]]) -> list[str]:
-    return [f"{label}: {value}" for label, value in pairs]
+        return
+    pairs = rows()
+    width = max(len(label) for label, _ in pairs)
+    for label, value in pairs:
+        print(f"{label + ':':<{width + 2}}{str(value).strip()}")
 
 
 def _cmd_info(args) -> int:
@@ -77,8 +77,10 @@ def _cmd_info(args) -> int:
         "gaps": gap_list,
         "apery": {str(r): w for r, w in apery.items()},
     }
-    lines = _tabled(
-        [
+    _emit(
+        args,
+        doc,
+        lambda: [
             ("generators", _csv(s.generators)),
             ("multiplicity", s.multiplicity),
             ("embedding_dim", s.embedding_dim),
@@ -86,9 +88,8 @@ def _cmd_info(args) -> int:
             ("genus", s.genus),
             ("gaps", _csv(gap_list) or "none"),
             (f"apery mod {s.multiplicity}", " ".join(f"{r}:{w}" for r, w in apery.items())),
-        ]
+        ],
     )
-    _emit(args, doc, lines)
     return 0
 
 
@@ -139,8 +140,10 @@ def _cmd_glue(args) -> int:
         "right_frobenius": right.frobenius,
         "identity_holds": identity == glued.frobenius,
     }
-    lines = _tabled(
-        [
+    _emit(
+        args,
+        doc,
+        lambda: [
             ("glued", _csv(glued.generators)),
             ("frobenius", glued.frobenius),
             ("extra_degree", d),
@@ -149,9 +152,8 @@ def _cmd_glue(args) -> int:
                 f"F = d + mu*F(left) + lambda*F(right) = "
                 f"{d} + {args.mu}*{left.frobenius} + {args.lam}*{right.frobenius} = {identity}",
             ),
-        ]
+        ],
     )
-    _emit(args, doc, lines)
     return 0
 
 
@@ -160,20 +162,18 @@ def _cmd_ci_tree(args) -> int:
     tree = ci_tree(s)
     if tree is None:
         doc = {"generators": list(s.generators), "ci": False}
-        lines = _tabled(
-            [("generators", _csv(s.generators)), ("ci", "no")]
-        )
-        _emit(args, doc, lines)
+        _emit(args, doc, lambda: [("generators", _csv(s.generators)), ("ci", "no")])
         return 0
     doc = {"generators": list(s.generators), "ci": True, "tree": tree.to_record()}
-    lines = _tabled(
-        [
+    _emit(
+        args,
+        doc,
+        lambda: [
             ("generators", _csv(s.generators)),
             ("ci", "yes"),
             ("tree", tree.to_text()),
-        ]
+        ],
     )
-    _emit(args, doc, lines)
     return 0
 
 
@@ -187,16 +187,17 @@ def _cmd_star(args) -> int:
         "margin": report.margin,
         "star_verdict": report.verdict.value,
     }
-    lines = _tabled(
-        [
+    _emit(
+        args,
+        doc,
+        lambda: [
             ("generators", _csv(s.generators)),
             ("frobenius", report.frobenius),
             ("d_max", "none" if report.d_max is None else report.d_max),
             ("margin", "none" if report.margin is None else report.margin),
             ("verdict", report.verdict.value),
-        ]
+        ],
     )
-    _emit(args, doc, lines)
     return 0
 
 
@@ -204,10 +205,7 @@ def _cmd_classify(args) -> int:
     s = make_semigroup(args.generators)
     tag = classify_exception(s)
     doc = {"generators": list(s.generators), "exception": tag.value}
-    lines = _tabled(
-        [("generators", _csv(s.generators)), ("exception", tag.value)]
-    )
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [("generators", _csv(s.generators)), ("exception", tag.value)])
     return 0
 
 
@@ -223,8 +221,10 @@ def _cmd_inductive(args) -> int:
         "degree_checks": [[d, ok] for d, ok in report.degree_checks],
         "passed": report.passed,
     }
-    lines = _tabled(
-        [
+    _emit(
+        args,
+        doc,
+        lambda: [
             ("branch", report.branch.value),
             ("glued", _csv(report.glued.generators)),
             ("frobenius", report.frobenius),
@@ -236,9 +236,8 @@ def _cmd_inductive(args) -> int:
                 ),
             ),
             ("passed", "yes" if report.passed else "no"),
-        ]
+        ],
     )
-    _emit(args, doc, lines)
     return 0
 
 
@@ -253,17 +252,18 @@ def _cmd_hypotheses(args) -> int:
         "branch": report.branch,
         "holds": report.holds,
     }
-    lines = _tabled(
-        [
+    _emit(
+        args,
+        doc,
+        lambda: [
             ("generators", _csv(s.generators)),
             ("embedding_dim", report.embedding_dim),
             ("is_ci", "yes" if report.is_ci else "no"),
             ("star_verdict", report.star.verdict.value),
             ("branch", report.branch),
             ("holds", "yes" if report.holds else "no"),
-        ]
+        ],
     )
-    _emit(args, doc, lines)
     return 0
 
 
@@ -394,3 +394,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

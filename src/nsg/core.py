@@ -13,6 +13,12 @@ core quantities read off it:
 
     F(S)   = max(entries) - m
     genus  = sum((entry(r) - r) // m for each residue r)
+    gaps   = r, r + m, ..., below entry(r), for each residue r
+
+Tables are built by the Böcker–Lipták round robin (Algorithmica 2007), one
+walk around the residue cycles per generator, O(e * m) in all.  The same
+pass drops non-minimal generators: an entry is redundant exactly when the
+table of the generators kept before it already contains it.
 
 Everything is exact integer arithmetic; construction does all the work once
 and the resulting objects are immutable.
@@ -75,9 +81,8 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     if g != 1:
         raise NotCoprimeError(f"gcd of generators is {g}, not 1")
 
-    minimal = _minimalize(gens)
+    minimal, entries = _minimal_apery(gens)
     m = minimal[0]
-    entries = _apery_entries(minimal, m)
     frob = max(entries) - m
     # entry(r) = r (mod m), so (entry(r) - r) // m counts the gaps in class r
     genus = sum((w - r) // m for r, w in enumerate(entries))
@@ -91,49 +96,77 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     )
 
 
-def _minimalize(sorted_gens: list[int]) -> list[int]:
-    """Drop every entry reachable as a sum of smaller retained entries."""
-    top = sorted_gens[-1]
-    reach = bytearray(top + 1)
-    reach[0] = 1
-    minimal = []
-    for a in sorted_gens:
-        if reach[a]:
+def _add_generator(dist: list[int | None], a: int) -> None:
+    """Extend the residue table dist (mod m) by the generator a, in place.
+
+    Böcker–Lipták round robin: adding a links residue r to r + a, splitting
+    the residues into gcd(a mod m, m) cycles.  On each cycle the smallest
+    entry cannot improve (any path into it through a costs at least that
+    entry plus a), so one walk around the cycle from it, relaxing
+    dist[r + a] against dist[r] + a, settles every entry.  Cycles with no
+    finite entry stay unreached; a multiple of m adds nothing.
+    """
+    m = len(dist)
+    step = a % m
+    if step == 0:
+        return
+    length = m // gcd(step, m)
+    for first in range(m // length):
+        start, best, r = None, None, first
+        for _ in range(length):
+            w = dist[r]
+            if w is not None and (best is None or w < best):
+                start, best = r, w
+            r = (r + step) % m
+        if start is None:
+            continue
+        r, w = start, best
+        for _ in range(length - 1):
+            r = (r + step) % m
+            w += a
+            cur = dist[r]
+            if cur is not None and cur < w:
+                w = cur
+            else:
+                dist[r] = w
+
+
+def _finish(dist: list[int | None], gens) -> tuple[int, ...]:
+    if None in dist:
+        raise ConsistencyError(
+            f"unreachable residue mod {len(dist)} from generators {list(gens)}"
+        )
+    return tuple(dist)  # type: ignore[arg-type]
+
+
+def _minimal_apery(sorted_gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """Minimal generators and their Apery table mod the smallest one.
+
+    One pass in ascending order: the table built so far describes the
+    semigroup of the generators kept so far, which contains m, so the next
+    entry a is a sum of smaller kept entries exactly when a >= dist[a mod m].
+    Kept entries extend the table; the work is O(len(sorted_gens) * m).
+    """
+    m = sorted_gens[0]
+    dist: list[int | None] = [None] * m
+    dist[0] = 0
+    minimal = [m]
+    for a in sorted_gens[1:]:
+        w = dist[a % m]
+        if w is not None and a >= w:
             continue
         minimal.append(a)
-        for v in range(a, top + 1):
-            if reach[v - a]:
-                reach[v] = 1
-    return minimal
+        _add_generator(dist, a)
+    return minimal, _finish(dist, minimal)
 
 
 def _apery_entries(gens, m: int) -> tuple[int, ...]:
-    """Shortest semigroup element per residue class mod m.
-
-    Round-robin relaxation over the residue cycle: repeatedly try to improve
-    entry((r + a) mod m) from entry(r) + a until nothing changes.  Each pass
-    fixes at least one residue, so at most m passes run.
-    """
-    big = None
-    dist: list[int | None] = [big] * m
+    """Shortest semigroup element per residue class mod m, for an element m."""
+    dist: list[int | None] = [None] * m
     dist[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for r in range(m):
-            d = dist[r]
-            if d is None:
-                continue
-            for a in gens:
-                nr = (r + a) % m
-                nd = d + a
-                cur = dist[nr]
-                if cur is None or nd < cur:
-                    dist[nr] = nd
-                    changed = True
-    if None in dist:
-        raise ConsistencyError(f"unreachable residue mod {m} from generators {list(gens)}")
-    return tuple(dist)  # type: ignore[arg-type]
+    for a in gens:
+        _add_generator(dist, a)
+    return _finish(dist, gens)
 
 
 def contains(semigroup: NumericalSemigroup, n: int) -> bool:
@@ -158,11 +191,13 @@ def frobenius(semigroup: NumericalSemigroup) -> int:
 
 def gaps(semigroup: NumericalSemigroup) -> list[int]:
     """All positive integers outside the semigroup, ascending."""
-    return [
-        n
-        for n in range(1, semigroup.frobenius + 1)
-        if not contains(semigroup, n)
-    ]
+    m = semigroup.multiplicity
+    out: list[int] = []
+    # class r holds the gaps r, r + m, ... below its Apery entry
+    for r, w in enumerate(semigroup.apery.entries):
+        out.extend(range(r, w, m))
+    out.sort()
+    return out
 
 
 def parse_generators(text: str) -> list[int]:

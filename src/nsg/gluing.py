@@ -15,7 +15,9 @@ has (number of generators - 1) relations, and equivalently (apart from N
 itself, which is trivially one) when it is a gluing of two smaller complete
 intersections (Delorme, 1976).  ci_tree builds that recursive certificate and
 is_complete_intersection decides by it alone; the tests check the relation
-count against it.
+count against it.  Every complete intersection has multiplicity at least
+2^(e-1) for e generators, so ci_tree rejects the rest before it scans the
+2^(e-1) two-part splits of the generators.
 
 For complete intersections the a-invariant is sum(relation degrees) minus
 sum(generators), and it coincides with the Frobenius number.
@@ -223,9 +225,18 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     Splits are tried in the canonical find_gluings order and the first one
     whose two quotients decompose recursively wins; any valid tree certifies
     the same fact, so the choice only pins down determinism.
+
+    A semigroup with a tree has multiplicity m >= 2^(e-1), so one below that
+    returns None without scanning the 2^(e-1) splits.  Proof by induction on
+    the tree: a leaf has m = 1 = 2^0.  At a split S = mu*S1 + lam*S2 with
+    e1 + e2 = e generators, lam is a non-generator element of S1, hence a
+    sum of two nonzero elements and lam >= 2*m1; likewise mu >= 2*m2.  So
+    m = min(mu*m1, lam*m2) >= 2*m1*m2 >= 2 * 2^(e1-1) * 2^(e2-1) = 2^(e-1).
     """
     if semigroup.embedding_dim == 1:
         return CITree(semigroup=semigroup, split=None, left=None, right=None, extra_degree=None)
+    if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
+        return None
     for split in find_gluings(semigroup):
         left = ci_tree(split.left_quotient)
         if left is None:

@@ -136,9 +136,13 @@ def _certainly_one_class(semigroup: NumericalSemigroup, n: int) -> bool:
     using a_j, through a factorization of n - a_i - a_j extended by one a_i
     and one a_j.  A connected graph on I therefore forces one R-class, at
     the cost of O(e^2) membership tests instead of enumerating the fiber.
+    Membership is read off the Apery table; a negative k fails k >= entry
+    since every entry is nonnegative.
     """
     gens = semigroup.generators
-    idx = [i for i, a in enumerate(gens) if contains(semigroup, n - a)]
+    entries = semigroup.apery.entries
+    m = semigroup.multiplicity
+    idx = [i for i, a in enumerate(gens) if n - a >= entries[(n - a) % m]]
     if len(idx) <= 1:
         return True
     root = {i: i for i in idx}
@@ -152,7 +156,8 @@ def _certainly_one_class(semigroup: NumericalSemigroup, n: int) -> bool:
     for p in range(len(idx)):
         for q in range(p + 1, len(idx)):
             i, j = idx[p], idx[q]
-            if contains(semigroup, n - gens[i] - gens[j]):
+            k = n - gens[i] - gens[j]
+            if k >= entries[k % m]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     root[rj] = ri
@@ -169,19 +174,21 @@ def _class_count(semigroup: NumericalSemigroup, n: int) -> int:
 def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
     """Elements with two or more R-classes, ascending.
 
-    Scans n <= F(S) + a_{e-1} + a_e.  The bound is safe: past it, every
-    n - a_i - a_j exceeds F(S), so the certificate graph of
-    _certainly_one_class is complete and every fiber is one class.
+    Tests only the candidates w + a_i with w in Ap(S, a_1) and i >= 2, at
+    most m(e - 1) of them (Rosales, IJAC 1996).  Proof that every Betti
+    element b is one: factorizations that use a_1 all share a_1, so they lie
+    in one R-class, and b, having two classes, has a class x that avoids
+    a_1.  Take i >= 2 in the support of a factorization in x; then b - a_i
+    is in S.  If b - a_i - a_1 were in S too, b would have a factorization
+    using both a_i and a_1; sharing a_i, it would lie in x, which avoids
+    a_1, a contradiction.  So b - a_i is in S but b - a_i - a_1 is not,
+    which is to say b - a_i is in Ap(S, a_1).
     """
     if semigroup.embedding_dim <= 1:
         return []
-    gens = semigroup.generators
-    bound = semigroup.frobenius + gens[-2] + gens[-1]
-    out = []
-    for n in range(2 * semigroup.multiplicity, bound + 1):
-        if contains(semigroup, n) and _class_count(semigroup, n) >= 2:
-            out.append(n)
-    return out
+    rest = semigroup.generators[1:]
+    candidates = sorted({w + a for w in semigroup.apery.entries for a in rest})
+    return [b for b in candidates if _class_count(semigroup, b) >= 2]
 
 
 @lru_cache(maxsize=4096)

@@ -52,6 +52,21 @@ def naive_member(raw_generators, n, _cache={}):
     return n > frob or n not in gap_set
 
 
+def naive_apery(raw_generators, m):
+    """Least member of each residue class mod m, walking each class upward.
+
+    m must be a positive member, so every class holds members and the walk
+    in each class ends.
+    """
+    out = []
+    for r in range(m):
+        k = r
+        while not naive_member(raw_generators, k):
+            k += m
+        out.append(k)
+    return out
+
+
 def naive_factorizations(generators, n):
     """All coordinate tuples c with sum(c[i] * generators[i]) == n."""
     gens = list(generators)

@@ -1,8 +1,14 @@
 """End-to-end checks of every subcommand, format, and exit code."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import nsg
 
 from nsg import enumerate_records, read_records, record_to_doc
 from nsg.census import ENV_WORK_CEILING
@@ -224,3 +230,18 @@ def test_repeated_invocations_agree(capsys):
     first = run_cli(capsys, "verify", "--max-genus", "5", "--format", "json")
     second = run_cli(capsys, "verify", "--max-genus", "5", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize("module", ["nsg", "nsg.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
+    src = str(Path(nsg.__file__).resolve().parent.parent)
+    argv = ["star", "3,5", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert proc.returncode == 0 and proc.stdout

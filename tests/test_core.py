@@ -19,7 +19,7 @@ from nsg import (
     parse_generators,
 )
 
-from oracles import naive_frobenius, naive_gaps, naive_genus, naive_member
+from oracles import naive_apery, naive_frobenius, naive_gaps, naive_genus, naive_member
 
 
 def coprime_lists():
@@ -52,6 +52,8 @@ def test_redundant_generators_are_dropped():
     s = make_semigroup([6, 4, 9, 10])
     assert s.generators == (4, 6, 9)
     assert s == make_semigroup([4, 6, 9])
+    # a redundant huge entry costs nothing: nothing is sized by it
+    assert make_semigroup([2, 3, 10**9]).generators == (2, 3)
 
 
 def test_natural_numbers_conventions():
@@ -182,6 +184,35 @@ def test_frobenius_from_any_apery_table(gens):
             continue
         table = apery_set(s, m)
         assert max(table.entries) - m == s.frobenius
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_lists())
+def test_apery_tables_match_reachability(gens):
+    # elements sharing a factor with a generator, or equal to one, give
+    # moduli with several residue cycles and generators that add nothing
+    s = make_semigroup(gens)
+    a = s.generators
+    elements = {*a, 2 * a[0], a[0] + a[-1], 2 * a[-1], s.frobenius + 1}
+    for n in sorted(elements):
+        if n < 1 or n > 200:
+            continue
+        assert list(apery_set(s, n).entries) == naive_apery(gens, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_lists())
+def test_minimal_generators_match_reachability(gens):
+    # exactly the inputs that are no sum of two nonzero members survive
+    s = make_semigroup(gens)
+    expected = [
+        a
+        for a in sorted(set(gens))
+        if not any(
+            naive_member(gens, x) and naive_member(gens, a - x) for x in range(1, a)
+        )
+    ]
+    assert list(s.generators) == expected
 
 
 def test_frobenius_accessor():

@@ -12,11 +12,13 @@ from nsg import (
     NotCoprimeError,
     a_invariant,
     ci_tree,
+    enumerate_semigroups,
     extra_degree,
     find_gluings,
     glue,
     is_complete_intersection,
     make_semigroup,
+    minimal_presentation,
     relation_degrees,
     three_gen_family,
 )
@@ -128,6 +130,18 @@ def test_ci_tree_leaf_and_absence():
 def test_ci_tree_three_generators():
     tree = ci_tree(make_semigroup([4, 5, 6]))
     assert tree.to_text() == "(2*(2*N + 3*N : d=6) + 5*N : d=10)"
+
+
+def test_multiplicity_prefilter_rejects_only_non_ci_through_genus_15():
+    # ci_tree answers None for m < 2^(e-1) without looking for splits; the
+    # relation count of the minimal presentation must agree it is no CI
+    below = 0
+    for s in enumerate_semigroups(15):
+        if s.multiplicity < 2 ** (s.embedding_dim - 1):
+            below += 1
+            assert len(minimal_presentation(s).relations) != s.embedding_dim - 1, s
+            assert ci_tree(s) is None
+    assert below == 6727
 
 
 def test_is_complete_intersection_goldens():

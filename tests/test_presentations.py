@@ -1,5 +1,8 @@
 """Factorizations, R-classes, Betti elements, minimal presentations."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from nsg import (
     ci_tree,
     enumerate_semigroups,
     factorizations,
+    glue,
     make_semigroup,
     minimal_presentation,
     r_classes,
@@ -123,9 +127,10 @@ def test_presentation_size_counts_extra_classes():
 
 
 def test_ci_routes_and_betti_scan_bound_through_genus_15():
-    # the library decides CI by the gluing tree alone and stops the Betti
-    # scan at F + a_{e-1} + a_e; here the relation count must agree with the
-    # tree, and the next a_e elements past the bound must be single-class
+    # the library decides CI by the gluing tree alone, and the full Betti
+    # scan of betti_by_full_scan stops at F + a_{e-1} + a_e; here the
+    # relation count must agree with the tree, and the next a_e elements
+    # past the bound must be single-class
     mismatches = []
     beyond_bound = []
     semigroups = 0
@@ -147,6 +152,54 @@ def test_ci_routes_and_betti_scan_bound_through_genus_15():
     assert window_fibers == 158081
     assert mismatches == []
     assert beyond_bound == []
+
+
+def betti_by_full_scan(s):
+    # the slow route: every element up to F + a_{e-1} + a_e, fiber by fiber
+    if s.embedding_dim < 2:
+        return []
+    bound = s.frobenius + s.generators[-2] + s.generators[-1]
+    return [n for n in range(bound + 1) if n in s and len(r_classes(s, n)) >= 2]
+
+
+def test_betti_candidates_match_full_scan_through_genus_12():
+    for s in enumerate_semigroups(12):
+        assert betti_elements(s) == betti_by_full_scan(s), s
+
+
+def test_betti_candidates_match_full_scan_on_two_generators():
+    for a in range(2, 61):
+        for b in range(a + 1, 61):
+            if gcd(a, b) == 1:
+                s = make_semigroup([a, b])
+                assert betti_elements(s) == betti_by_full_scan(s), s
+
+
+def test_betti_candidates_match_full_scan_on_gluings():
+    def non_generators(s, count):
+        out, n = [], 2
+        while len(out) < count:
+            if n in s and n not in s.generators:
+                out.append(n)
+            n += 1
+        return out
+
+    donors = list(enumerate_semigroups(4))
+    candidates = [
+        (left, right, lam, mu)
+        for left in donors
+        for right in donors
+        if 4 <= left.embedding_dim + right.embedding_dim <= 7
+        for lam in non_generators(left, 3)
+        for mu in non_generators(right, 3)
+        if gcd(lam, mu) == 1
+    ]
+    sizes = set()
+    for left, right, lam, mu in random.Random(7).sample(candidates, 100):
+        s = glue(left, right, lam, mu)
+        sizes.add(s.embedding_dim)
+        assert betti_elements(s) == betti_by_full_scan(s), s
+    assert sizes == {4, 5, 6, 7}
 
 
 def test_presentation_is_deterministic():
