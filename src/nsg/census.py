@@ -174,16 +174,8 @@ def enumerate_records(
     else:
         inner: list[NumericalSemigroup] = []
         frontier: list[NumericalSemigroup] = []
-
-        def collect(s: NumericalSemigroup) -> None:
-            if s.genus == _SPLIT_GENUS:
-                frontier.append(s)
-                return
-            inner.append(s)
-            for child in _children(s):
-                collect(child)
-
-        collect(natural_numbers())
+        for s in _walk(natural_numbers(), _SPLIT_GENUS):
+            (frontier if s.genus == _SPLIT_GENUS else inner).append(s)
         records = [record_for(s) for s in inner]
         tasks = [(root.generators, max_genus) for root in frontier]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

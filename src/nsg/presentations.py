@@ -8,6 +8,13 @@ at least two R-classes are the Betti elements, and a minimal presentation
 picks, for each Betti element, enough relations (pairs of factorizations) to
 connect its classes: c - 1 relations for c classes.
 
+The classes are computed through the generator graph G_n, whose vertices
+are the generators a_i with n - a_i in S and whose edges join a_i and a_j
+when n - a_i - a_j is in S.  For n > 0 its components are in bijection with
+the R-classes (proof at _components), so counting classes takes only
+membership tests, and assigning a factorization to its class takes one
+look at its support.
+
 The relation count of a minimal presentation, compared with the number of
 generators, detects complete intersections; the multiset of relation degrees
 (the Betti element each relation lives at, with multiplicity) is the
@@ -85,67 +92,35 @@ def factorizations(semigroup: NumericalSemigroup, n: int) -> frozenset[Factoriza
     return frozenset(Factorization(c, n) for c in _coords(semigroup, n))
 
 
-def _partition(coord_list: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Group coordinate vectors into R-classes.
+def _components(semigroup: NumericalSemigroup, n: int) -> dict[int, int]:
+    """Components of the generator graph G_n: each vertex mapped to its root.
 
-    All vectors positive at a fixed position form one adjacency clique, so
-    chaining them per position and taking union-find components gives exactly
-    the shared-support transitive closure.
-    """
-    if not coord_list:
-        return []
-    parent = list(range(len(coord_list)))
+    G_n has a vertex i for each generator with n - a_i in S, and an edge
+    {i, j} when n - a_i - a_j is in S; membership is read off the Apery
+    table, and a negative k fails k >= entry since every entry is
+    nonnegative.  For n > 0 the R-classes of n are in bijection with the
+    components of G_n, each factorization going to the component that holds
+    its support:
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    - The support of a factorization x is a clique, since for i != j in it
+      x minus one a_i and one a_j factors n - a_i - a_j; so the support
+      lies in one component.
+    - An edge {i, j} gives a factorization of n using both a_i and a_j: one
+      of n - a_i - a_j plus one a_i and one a_j.  Every factorization using
+      a_i shares a_i with it, and every one using a_j shares a_j, so all of
+      them lie in one class.
+    - Every vertex i is used by some factorization: one of n - a_i plus a_i.
 
-    for j in range(len(coord_list[0])):
-        first = -1
-        for idx, f in enumerate(coord_list):
-            if f[j]:
-                if first < 0:
-                    first = idx
-                else:
-                    ri, rj = find(first), find(idx)
-                    if ri != rj:
-                        parent[rj] = ri
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for idx, f in enumerate(coord_list):
-        groups.setdefault(find(idx), []).append(f)
-    return sorted(groups.values(), key=min)
-
-
-def r_classes(semigroup: NumericalSemigroup, n: int) -> list[frozenset[Factorization]]:
-    """R-class partition of the factorizations of n, ordered by least member."""
-    if n < 0:
-        raise NegativeElementError(f"no factorizations of {n}")
-    blocks = _partition(sorted(_coords(semigroup, n)))
-    return [
-        frozenset(Factorization(c, n) for c in block) for block in blocks
-    ]
-
-
-def _certainly_one_class(semigroup: NumericalSemigroup, n: int) -> bool:
-    """Cheap sound test for a single R-class; False only means unknown.
-
-    Let I = {i : n - a_i in S}; every factorization's support sits inside I.
-    When n - a_i - a_j in S, any factorization using a_i connects to any
-    using a_j, through a factorization of n - a_i - a_j extended by one a_i
-    and one a_j.  A connected graph on I therefore forces one R-class, at
-    the cost of O(e^2) membership tests instead of enumerating the fiber.
-    Membership is read off the Apery table; a negative k fails k >= entry
-    since every entry is nonnegative.
+    By the second point, factorizations whose supports lie in one component
+    share a class; adjacent factorizations share a generator, so by the
+    first point a class never leaves its component; and by the third every
+    component carries a class.  Costs O(e^2) membership tests, with no fiber
+    enumerated.
     """
     gens = semigroup.generators
     entries = semigroup.apery.entries
     m = semigroup.multiplicity
-    idx = [i for i, a in enumerate(gens) if n - a >= entries[(n - a) % m]]
-    if len(idx) <= 1:
-        return True
-    root = {i: i for i in idx}
+    root = {i: i for i, a in enumerate(gens) if n - a >= entries[(n - a) % m]}
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -153,22 +128,39 @@ def _certainly_one_class(semigroup: NumericalSemigroup, n: int) -> bool:
             i = root[i]
         return i
 
-    for p in range(len(idx)):
-        for q in range(p + 1, len(idx)):
-            i, j = idx[p], idx[q]
+    vertices = list(root)
+    for p, i in enumerate(vertices):
+        for j in vertices[p + 1:]:
             k = n - gens[i] - gens[j]
             if k >= entries[k % m]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     root[rj] = ri
-    first = find(idx[0])
-    return all(find(i) == first for i in idx)
+    return {i: find(i) for i in vertices}
 
 
-def _class_count(semigroup: NumericalSemigroup, n: int) -> int:
-    if _certainly_one_class(semigroup, n):
-        return 1
-    return len(_partition(_coords(semigroup, n)))
+def _blocks(semigroup: NumericalSemigroup, n: int) -> list[list[tuple[int, ...]]]:
+    """R-classes of n as ascending coordinate lists, ordered by least member.
+
+    Enumerates the fiber once and files each factorization under the
+    component of its first nonzero coordinate; the zero factorization of 0
+    has no support and is a class of its own.
+    """
+    component = _components(semigroup, n)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for c in sorted(_coords(semigroup, n)):
+        first = next((i for i, x in enumerate(c) if x), -1)
+        groups.setdefault(component.get(first, -1), []).append(c)
+    return list(groups.values())
+
+
+def r_classes(semigroup: NumericalSemigroup, n: int) -> list[frozenset[Factorization]]:
+    """R-class partition of the factorizations of n, ordered by least member."""
+    if n < 0:
+        raise NegativeElementError(f"no factorizations of {n}")
+    return [
+        frozenset(Factorization(c, n) for c in block) for block in _blocks(semigroup, n)
+    ]
 
 
 def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
@@ -182,13 +174,14 @@ def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
     is in S.  If b - a_i - a_1 were in S too, b would have a factorization
     using both a_i and a_1; sharing a_i, it would lie in x, which avoids
     a_1, a contradiction.  So b - a_i is in S but b - a_i - a_1 is not,
-    which is to say b - a_i is in Ap(S, a_1).
+    which is to say b - a_i is in Ap(S, a_1).  A candidate is a Betti
+    element exactly when its generator graph has two or more components.
     """
     if semigroup.embedding_dim <= 1:
         return []
     rest = semigroup.generators[1:]
     candidates = sorted({w + a for w in semigroup.apery.entries for a in rest})
-    return [b for b in candidates if _class_count(semigroup, b) >= 2]
+    return [b for b in candidates if len(set(_components(semigroup, b).values())) >= 2]
 
 
 @lru_cache(maxsize=4096)
@@ -202,10 +195,9 @@ def minimal_presentation(semigroup: NumericalSemigroup) -> Presentation:
     """
     relations = []
     for b in betti_elements(semigroup):
-        blocks = _partition(sorted(_coords(semigroup, b)))
-        reps = sorted(min(block) for block in blocks)
-        anchor = Factorization(reps[0], b)
-        for rep in reps[1:]:
+        first, *rest = (block[0] for block in _blocks(semigroup, b))
+        anchor = Factorization(first, b)
+        for rep in rest:
             relations.append(Relation(left=Factorization(rep, b), right=anchor, degree=b))
     relations.sort(key=lambda rel: (rel.degree, rel.left.coords))
     degrees = tuple(sorted(rel.degree for rel in relations))

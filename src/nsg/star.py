@@ -226,10 +226,10 @@ def check_star_gluing(
 def hypotheses_report(semigroup: NumericalSemigroup) -> HypothesisReport:
     """Which hypothesis route covers the semigroup ring, if any.
 
-    Complete intersections always qualify (they are semigroup rings); the
-    report distinguishes the small embedding dimension case from the one
-    that rests on the star condition.  Non complete intersections fall
-    outside the setting entirely.
+    Complete intersections with at most two generators qualify outright;
+    from three generators on they rest on the star condition, and holds
+    says whether it is satisfied.  Non complete intersections fall outside
+    the setting entirely.
     """
     ci = is_complete_intersection(semigroup)
     star = star_report(semigroup)
@@ -239,14 +239,9 @@ def hypotheses_report(semigroup: NumericalSemigroup) -> HypothesisReport:
     elif semigroup.embedding_dim < 3:
         branch = "small_embedding_dimension"
         holds = True
-    elif star.verdict is StarVerdict.SATISFIED:
-        branch = "star_condition"
-        holds = True
     else:
-        # unreachable given the classification, but the semigroup ring
-        # hypothesis would still hold; report it honestly
-        branch = "semigroup_ring"
-        holds = True
+        branch = "star_condition"
+        holds = star.verdict is StarVerdict.SATISFIED
     return HypothesisReport(
         embedding_dim=semigroup.embedding_dim,
         is_ci=ci,

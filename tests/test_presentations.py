@@ -175,7 +175,8 @@ def test_betti_candidates_match_full_scan_on_two_generators():
                 assert betti_elements(s) == betti_by_full_scan(s), s
 
 
-def test_betti_candidates_match_full_scan_on_gluings():
+def seeded_gluings():
+    # 100 gluings of genus <= 4 donors, 4 to 7 generators, fixed by the seed
     def non_generators(s, count):
         out, n = [], 2
         while len(out) < count:
@@ -194,12 +195,50 @@ def test_betti_candidates_match_full_scan_on_gluings():
         for mu in non_generators(right, 3)
         if gcd(lam, mu) == 1
     ]
+    return [
+        glue(left, right, lam, mu)
+        for left, right, lam, mu in random.Random(7).sample(candidates, 100)
+    ]
+
+
+def test_betti_candidates_match_full_scan_on_gluings():
     sizes = set()
-    for left, right, lam, mu in random.Random(7).sample(candidates, 100):
-        s = glue(left, right, lam, mu)
+    for s in seeded_gluings():
         sizes.add(s.embedding_dim)
         assert betti_elements(s) == betti_by_full_scan(s), s
     assert sizes == {4, 5, 6, 7}
+
+
+def classes_agree_with_oracle(s, n):
+    # r_classes against shared-support merging over the same fiber
+    got = [frozenset(f.coords for f in block) for block in r_classes(s, n)]
+    return got == naive_r_classes(coords_of(factorizations(s, n)))
+
+
+def test_r_classes_match_oracle_through_genus_12():
+    # every fiber with two or more factorizations up to F + a_{e-1} + a_e,
+    # the window that holds every Betti element
+    fibers = 0
+    for s in enumerate_semigroups(12):
+        if s.embedding_dim < 2:
+            continue
+        bound = s.frobenius + s.generators[-2] + s.generators[-1]
+        for n in range(bound + 1):
+            if len(factorizations(s, n)) >= 2:
+                fibers += 1
+                assert classes_agree_with_oracle(s, n), (s, n)
+    assert fibers == 37526
+
+
+def test_r_classes_match_oracle_on_gluing_betti_candidates():
+    fibers = 0
+    for s in seeded_gluings():
+        rest = s.generators[1:]
+        for n in sorted({w + a for w in s.apery.entries for a in rest}):
+            if len(factorizations(s, n)) >= 2:
+                fibers += 1
+                assert classes_agree_with_oracle(s, n), (s, n)
+    assert fibers == 3645
 
 
 def test_presentation_is_deterministic():
@@ -251,3 +290,5 @@ def test_r_classes_partition_the_fiber(gens, n):
     classes = r_classes(s, n)
     merged = sorted(f.coords for block in classes for f in block)
     assert merged == naive_factorizations(s.generators, n)
+    got = [frozenset(f.coords for f in block) for block in classes]
+    assert got == naive_r_classes(merged)

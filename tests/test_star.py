@@ -14,7 +14,9 @@ from nsg import (
     StarVerdict,
     check_star_gluing,
     classify_exception,
+    enumerate_semigroups,
     hypotheses_report,
+    is_complete_intersection,
     make_semigroup,
     small_exceptions,
     star_report,
@@ -170,3 +172,12 @@ def test_hypotheses_report_branches():
 
     report = hypotheses_report(make_semigroup([8, 10, 12, 15]))
     assert (report.branch, report.holds) == ("star_condition", True)
+
+    # no complete intersection with three or more generators fails star
+    cis = 0
+    for s in enumerate_semigroups(12):
+        if s.embedding_dim >= 3 and is_complete_intersection(s):
+            cis += 1
+            report = hypotheses_report(s)
+            assert (report.branch, report.holds) == ("star_condition", True), s
+    assert cis == 28
