@@ -10,16 +10,31 @@ import sys
 import time
 from collections import Counter
 
-from nsg import enumerate_records, star_report, make_semigroup, summarize, write_records
+from nsg import (
+    NsgError,
+    enumerate_records,
+    make_semigroup,
+    star_report,
+    summarize,
+    write_records,
+)
+from nsg.cli import _positive_int
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-genus", type=int, default=12)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     parser.add_argument("--out", help="also write records to this NDJSON path")
     args = parser.parse_args(argv)
+    try:
+        return _verify(args)
+    except (NsgError, ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
+
+def _verify(args) -> int:
     started = time.perf_counter()
     records = enumerate_records(args.max_genus, jobs=args.jobs)
     elapsed = time.perf_counter() - started

@@ -24,7 +24,12 @@ from nsg import (
     work_ceiling,
     write_records,
 )
-from nsg.census import DEFAULT_WORK_CEILING, ENV_WORK_CEILING, RECORD_FIELDS
+from nsg.census import (
+    DEFAULT_WORK_CEILING,
+    ENV_WORK_CEILING,
+    RECORD_FIELDS,
+    _remove_generator,
+)
 
 from oracles import naive_semigroups
 
@@ -40,6 +45,27 @@ def test_walk_yields_each_semigroup_once():
     seen = [s.generators for s in enumerate_semigroups(6)]
     assert len(seen) == len(set(seen))
     assert len(seen) == sum(KNOWN_COUNTS[:7])
+
+
+def test_child_step_matches_rebuild_through_genus_15():
+    # every child of every node of genus <= 15, against make_semigroup of its
+    # elements up to 2g + 1 (its generators are at most g + m); membership
+    # reads the parent, which was itself checked one level up, back to N
+    children = 0
+    for node in enumerate_semigroups(15):
+        for g in node.generators:
+            if g <= node.frobenius:
+                continue
+            child = _remove_generator(node, g)
+            rebuilt = make_semigroup(
+                [n for n in range(1, 2 * g + 2) if n != g and n in node]
+            )
+            # dataclass equality: generators, multiplicity, embedding_dim,
+            # Apery modulus and entries, frobenius and genus
+            assert child == rebuilt, (node.generators, g)
+            children += 1
+    # the children are exactly the semigroups of genus 1..16 (A007323)
+    assert children == 11769
 
 
 @pytest.mark.parametrize("genus", range(0, 7))

@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nsg import (
     Factorization,
@@ -278,6 +278,12 @@ def test_dropping_any_relation_disconnects_some_fiber():
     st.lists(st.integers(2, 30), min_size=2, max_size=4),
     st.integers(0, 55),
 )
+# fibers with two or more R-classes, which random draws rarely reach
+@example(gens=[4, 6, 9], n=12)
+@example(gens=[4, 6, 9], n=18)
+@example(gens=[3, 5, 7], n=10)
+@example(gens=[3, 5, 7], n=12)
+@example(gens=[3, 5, 7], n=14)
 def test_r_classes_partition_the_fiber(gens, n):
     from math import gcd
 
