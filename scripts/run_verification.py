@@ -18,13 +18,11 @@ from nsg import (
     summarize,
     write_records,
 )
-from nsg.cli import _positive_int
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-genus", type=int, default=12)
-    parser.add_argument("--jobs", type=_positive_int, default=1)
     parser.add_argument("--out", help="also write records to this NDJSON path")
     args = parser.parse_args(argv)
     try:
@@ -36,13 +34,13 @@ def main(argv=None) -> int:
 
 def _verify(args) -> int:
     started = time.perf_counter()
-    records = enumerate_records(args.max_genus, jobs=args.jobs)
+    records = enumerate_records(args.max_genus)
     elapsed = time.perf_counter() - started
     summary = summarize(records, args.max_genus)
 
     ci_per_genus = Counter(r.genus for r in records if r.is_ci)
     print(f"verification up to genus {summary.bound} "
-          f"({summary.total} semigroups in {elapsed:.1f}s, jobs={args.jobs})")
+          f"({summary.total} semigroups in {elapsed:.1f}s)")
     print(f"{'genus':>6} {'count':>7} {'ci':>5}")
     for genus, count in enumerate(summary.per_genus):
         print(f"{genus:>6} {count:>7} {ci_per_genus.get(genus, 0):>5}")

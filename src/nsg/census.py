@@ -3,11 +3,13 @@
 Semigroups form a tree rooted at N: the children of S are S minus one
 minimal generator exceeding F(S), which raises the genus by one, and every
 semigroup arises exactly once this way.  The walk is depth-first and
-streaming, so memory stays bounded by the tree depth.  A child is derived
-from its parent, not rebuilt: removing g changes one Apery entry (g becomes
-g + m), sets F = g, and its new minimal generators are among the sums g + a
-of g with a generator a of the parent (_remove_generator has the proof).
-Only the ordinary semigroups, children through g = m, are built afresh.
+streaming: one explicit stack holds only the pending siblings along the
+current path, each as its parent and the generator to remove, so memory
+stays bounded by the tree depth.  A child is derived from its parent, not
+rebuilt: removing g changes one Apery entry (g becomes g + m), sets F = g,
+and its new minimal generators are among the sums g + a of g with a
+generator a of the parent (_remove_generator has the proof).  Only the
+ordinary semigroups, children through g = m, are built afresh.
 
 Each enumerated semigroup is condensed into a CensusRecord and serialized as
 one JSON object per line with a fixed field set:
@@ -15,10 +17,8 @@ one JSON object per line with a fixed field set:
     generators, genus, frobenius, embedding_dim, is_ci, star_verdict,
     d_max, exception
 
-Records are canonically ordered by (genus, generators).  Subtrees are
-independent work units, so enumeration may fan out over processes; results
-are merged through the canonical sort and the worker count never shows in
-the output.  A work ceiling (default genus 15, overridable via the
+Records are canonically ordered by (genus, generators) and the census runs
+in one process.  A work ceiling (default genus 15, overridable via the
 NSG_WORK_CEILING environment variable or the ceiling argument) bounds what a
 single call may attempt; everything it allows is exhaustive verification up
 to the bound, never a proof beyond it.
@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import AperyTable, NumericalSemigroup, make_semigroup
-from .errors import BoundTooLargeError, MalformedRecordError
+from .errors import BoundTooLargeError, ConsistencyError, MalformedRecordError
 from .gluing import is_complete_intersection
 from .star import (
     EXCEPTION_TAGS,
@@ -58,9 +57,6 @@ RECORD_FIELDS = (
     "d_max",
     "exception",
 )
-
-# genus at which parallel runs hand subtrees to workers
-_SPLIT_GENUS = 5
 
 
 @dataclass(frozen=True)
@@ -155,17 +151,23 @@ def _remove_generator(
     )
 
 
-def _children(semigroup: NumericalSemigroup) -> Iterator[NumericalSemigroup]:
-    for g in semigroup.generators:
-        if g > semigroup.frobenius:
-            yield _remove_generator(semigroup, g)
+def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:
+    """root and its descendants of genus <= max_genus, in preorder.
 
-
-def _walk(semigroup: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:
-    yield semigroup
-    if semigroup.genus < max_genus:
-        for child in _children(semigroup):
-            yield from _walk(child, max_genus)
+    The stack holds the pending removals (parent, g) along the current
+    path.  They are pushed in descending g, so children come in ascending
+    removed generator, and each child is built only when it is popped.
+    """
+    node = root
+    stack = []
+    while True:
+        yield node
+        if node.genus < max_genus:
+            f = node.frobenius
+            stack.extend((node, g) for g in reversed(node.generators) if g > f)
+        if not stack:
+            return
+        node = _remove_generator(*stack.pop())
 
 
 def _check_bound(max_genus: int, ceiling: int | None) -> None:
@@ -189,45 +191,26 @@ def enumerate_semigroups(
 def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
     # the tag is not checked against the verdict here: summarize() turns a
     # disagreement into a counterexample, so the sweep keeps going
-    ci = is_complete_intersection(semigroup)
-    return CensusRecord(
-        generators=semigroup.generators,
-        genus=semigroup.genus,
-        frobenius=semigroup.frobenius,
-        embedding_dim=semigroup.embedding_dim,
-        is_ci=ci,
-        star=star_report(semigroup),
-        exception=_pattern_class(semigroup, ci),
-    )
+    try:
+        ci = is_complete_intersection(semigroup)
+        return CensusRecord(
+            generators=semigroup.generators,
+            genus=semigroup.genus,
+            frobenius=semigroup.frobenius,
+            embedding_dim=semigroup.embedding_dim,
+            is_ci=ci,
+            star=star_report(semigroup),
+            exception=_pattern_class(semigroup, ci),
+        )
+    except ConsistencyError as err:
+        # name the semigroup, so one `nsg star <generators>` reproduces it
+        raise ConsistencyError(f"census record for {semigroup}: {err}") from err
 
 
-def _subtree_records(task: tuple[tuple[int, ...], int]) -> list[CensusRecord]:
-    generators, max_genus = task
-    root = make_semigroup(list(generators))
-    return [record_for(s) for s in _walk(root, max_genus)]
-
-
-def enumerate_records(
-    max_genus: int, *, jobs: int = 1, ceiling: int | None = None
-) -> list[CensusRecord]:
-    """Census records for genus <= max_genus in canonical order.
-
-    jobs > 1 fans subtrees rooted at genus _SPLIT_GENUS out to worker
-    processes; the canonical sort makes the result identical either way.
-    """
+def enumerate_records(max_genus: int, *, ceiling: int | None = None) -> list[CensusRecord]:
+    """Census records for genus <= max_genus in canonical order."""
     _check_bound(max_genus, ceiling)
-    if jobs <= 1 or max_genus <= _SPLIT_GENUS:
-        records = [record_for(s) for s in _walk(natural_numbers(), max_genus)]
-    else:
-        inner: list[NumericalSemigroup] = []
-        frontier: list[NumericalSemigroup] = []
-        for s in _walk(natural_numbers(), _SPLIT_GENUS):
-            (frontier if s.genus == _SPLIT_GENUS else inner).append(s)
-        records = [record_for(s) for s in inner]
-        tasks = [(root.generators, max_genus) for root in frontier]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_subtree_records, tasks):
-                records.extend(chunk)
+    records = [record_for(s) for s in _walk(natural_numbers(), max_genus)]
     records.sort(key=lambda r: (r.genus, r.generators))
     return records
 
@@ -238,7 +221,8 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
     exceptions_found lists every semigroup tagged as a star failure;
     counterexamples lists records whose computed star verdict disagrees with
     the verdict their tag promises, and stays empty unless the
-    classification itself is wrong.
+    classification itself is wrong.  A record whose genus lies outside
+    0..bound raises ValueError.
     """
     per_genus = [0] * (bound + 1)
     total = 0
@@ -246,6 +230,11 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
     exceptions = []
     counterexamples = []
     for record in records:
+        if not 0 <= record.genus <= bound:
+            raise ValueError(
+                f"record {list(record.generators)} has genus {record.genus}, "
+                f"outside 0..{bound}"
+            )
         total += 1
         per_genus[record.genus] += 1
         if record.is_ci:
@@ -264,11 +253,9 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
     )
 
 
-def verify_star(
-    max_genus: int, *, jobs: int = 1, ceiling: int | None = None
-) -> VerificationSummary:
+def verify_star(max_genus: int, *, ceiling: int | None = None) -> VerificationSummary:
     """Exhaustively classify star behavior for every genus <= max_genus."""
-    records = enumerate_records(max_genus, jobs=jobs, ceiling=ceiling)
+    records = enumerate_records(max_genus, ceiling=ceiling)
     return summarize(records, max_genus)
 
 
@@ -306,6 +293,8 @@ def _record_from_doc(doc: dict, where: str) -> CensusRecord:
     if any(a < 1 for a in generators):
         raise MalformedRecordError(f"{where}: generators must be >= 1, got {list(generators)}")
     genus = _integer(doc["genus"], "genus", where)
+    if genus < 0:
+        raise MalformedRecordError(f"{where}: genus must be >= 0, got {genus}")
     frobenius = _integer(doc["frobenius"], "frobenius", where)
     embedding_dim = _integer(doc["embedding_dim"], "embedding_dim", where)
     is_ci = doc["is_ci"]

@@ -276,7 +276,7 @@ def _record_line(record) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    records = enumerate_records(args.max_genus, jobs=args.jobs)
+    records = enumerate_records(args.max_genus)
     if args.out:
         count = write_records(records, args.out)
         print(f"wrote {count} records to {args.out}")
@@ -290,7 +290,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = enumerate_records(args.max_genus, jobs=args.jobs)
+    records = enumerate_records(args.max_genus)
     summary = summarize(records, args.max_genus)
     if args.out:
         write_records(records, args.out)
@@ -365,7 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     def census_command(name: str, handler, help_text: str):
         p = sub.add_parser(name, parents=[shared], help=help_text)
         p.add_argument("--max-genus", type=int, required=True, help="genus bound")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+        p.add_argument(
+            "--jobs", type=_positive_int, default=1,
+            help="accepted and ignored: the census runs in one process",
+        )
         p.add_argument("--out", help="write records to this path")
         p.set_defaults(handler=handler)
         return p

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .core import NumericalSemigroup, contains, make_semigroup
@@ -137,49 +138,38 @@ def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
     cross-wise eligibility of lam and mu holds.
     """
     gens = semigroup.generators
-    e = len(gens)
-    if e < 2:
-        return []
     splits = []
-    rest = gens[1:]
-    for mask in range(2 ** (e - 1) - 1):
-        left_part = [gens[0]]
-        right_part = []
-        for k, a in enumerate(rest):
-            if mask >> k & 1:
-                left_part.append(a)
-            else:
-                right_part.append(a)
-        mu = 0
-        for a in left_part:
-            mu = gcd(mu, a)
-        lam = 0
-        for b in right_part:
-            lam = gcd(lam, b)
-        if mu < 2 or lam < 2 or gcd(mu, lam) != 1:
-            continue
-        left_quotient = make_semigroup([a // mu for a in left_part])
-        right_quotient = make_semigroup([b // lam for b in right_part])
-        # scaled-up minimality forces the quotient generators to be minimal too
-        if left_quotient.generators != tuple(a // mu for a in left_part):
-            raise ConsistencyError(f"non-minimal left quotient for {left_part}")
-        if right_quotient.generators != tuple(b // lam for b in right_part):
-            raise ConsistencyError(f"non-minimal right quotient for {right_part}")
-        if not contains(left_quotient, lam) or lam in left_quotient.generators:
-            continue
-        if not contains(right_quotient, mu) or mu in right_quotient.generators:
-            continue
-        splits.append(
-            GluingSplit(
-                left_part=tuple(left_part),
-                right_part=tuple(right_part),
-                mu=mu,
-                lam=lam,
-                left_quotient=left_quotient,
-                right_quotient=right_quotient,
+    # combinations come in lexicographic order of the sorted generators, so
+    # the splits are already ordered by size then content of the left part
+    for k in range(len(gens) - 1):
+        for chosen in combinations(gens[1:], k):
+            left_part = (gens[0], *chosen)
+            right_part = tuple(b for b in gens[1:] if b not in chosen)
+            mu = gcd(*left_part)
+            lam = gcd(*right_part)
+            if mu < 2 or lam < 2 or gcd(mu, lam) != 1:
+                continue
+            left_quotient = make_semigroup([a // mu for a in left_part])
+            right_quotient = make_semigroup([b // lam for b in right_part])
+            # scaled-up minimality forces the quotient generators to be minimal too
+            if left_quotient.generators != tuple(a // mu for a in left_part):
+                raise ConsistencyError(f"non-minimal left quotient for {list(left_part)}")
+            if right_quotient.generators != tuple(b // lam for b in right_part):
+                raise ConsistencyError(f"non-minimal right quotient for {list(right_part)}")
+            if not contains(left_quotient, lam) or lam in left_quotient.generators:
+                continue
+            if not contains(right_quotient, mu) or mu in right_quotient.generators:
+                continue
+            splits.append(
+                GluingSplit(
+                    left_part=left_part,
+                    right_part=right_part,
+                    mu=mu,
+                    lam=lam,
+                    left_quotient=left_quotient,
+                    right_quotient=right_quotient,
+                )
             )
-        )
-    splits.sort(key=lambda s: (len(s.left_part), s.left_part))
     return splits
 
 

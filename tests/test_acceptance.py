@@ -3,8 +3,11 @@
 Each test prints PASS or FAIL for its criterion (visible under pytest -s or
 on failure) and asserts the same condition.  The genus-15 census is computed
 once and shared; everything is exact integer arithmetic, tolerance zero.
+The same census also pins the census NDJSON bytes by their sha256.
 """
 
+import hashlib
+import io
 from collections import Counter
 from math import gcd
 
@@ -24,6 +27,7 @@ from nsg import (
     relation_degrees,
     small_exceptions,
     summarize,
+    write_records,
 )
 
 from oracles import naive_frobenius, naive_semigroups
@@ -263,3 +267,18 @@ def test_criterion_6_census_counts_match_oracle(census15):
         ok,
         f"tree counts {tree_counts}, oracle agreement: {oracle_ok}",
     )
+
+
+# sha256 of `nsg verify --max-genus G --format json --out F` for G = 12, 15
+NDJSON_SHA256 = {
+    12: "8495f9500bc78c42091c26e43ed159e5ea435027377a03cbb806bc849ab27493",
+    15: "0e5ab2aafbd0fb1e44a72575b4ba45b6b89f0fc4c9f40ec208220be877176fd5",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(NDJSON_SHA256))
+def test_census_ndjson_bytes_are_pinned(census15, bound):
+    buffer = io.StringIO()
+    write_records([r for r in census15 if r.genus <= bound], buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    assert digest == NDJSON_SHA256[bound]

@@ -1,13 +1,16 @@
 """Genus-bounded enumeration, records, serialization, verification."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
+import nsg.census
 from nsg import (
     BoundTooLargeError,
     CensusRecord,
+    ConsistencyError,
     ExceptionClass,
     MalformedRecordError,
     StarReport,
@@ -29,6 +32,7 @@ from nsg.census import (
     ENV_WORK_CEILING,
     RECORD_FIELDS,
     _remove_generator,
+    _walk,
 )
 
 from oracles import naive_semigroups
@@ -45,6 +49,27 @@ def test_walk_yields_each_semigroup_once():
     seen = [s.generators for s in enumerate_semigroups(6)]
     assert len(seen) == len(set(seen))
     assert len(seen) == sum(KNOWN_COUNTS[:7])
+
+
+def test_walk_matches_recursive_preorder_through_genus_15():
+    def reference(node, max_genus):
+        yield node.generators
+        if node.genus < max_genus:
+            for g in node.generators:
+                if g > node.frobenius:
+                    yield from reference(_remove_generator(node, g), max_genus)
+
+    walked = [s.generators for s in _walk(natural_numbers(), 15)]
+    assert walked == list(reference(natural_numbers(), 15))
+    assert len(walked) == 6964
+
+
+def test_walk_counts_match_a007323_for_genus_16_to_18():
+    per_genus = [0] * 19
+    for s in enumerate_semigroups(18, ceiling=18):
+        per_genus[s.genus] += 1
+    assert per_genus[16:] == [4806, 8045, 13467]
+    assert sum(per_genus) == 33282
 
 
 def test_child_step_matches_rebuild_through_genus_15():
@@ -124,10 +149,20 @@ def test_records_are_canonically_ordered():
     assert len(records) == sum(KNOWN_COUNTS[:6])
 
 
-def test_parallel_enumeration_matches_sequential():
-    sequential = enumerate_records(7)
-    parallel = enumerate_records(7, jobs=2)
-    assert parallel == sequential
+def test_consistency_error_in_a_sweep_names_the_semigroup(monkeypatch):
+    real_star_report = nsg.census.star_report
+
+    def broken(semigroup):
+        if semigroup.generators == (3, 4, 5):
+            raise ConsistencyError("degree 8 not inherited")
+        return real_star_report(semigroup)
+
+    monkeypatch.setattr(nsg.census, "star_report", broken)
+    with pytest.raises(
+        ConsistencyError, match=r"^census record for <3,4,5>: degree 8 not inherited$"
+    ) as exc:
+        verify_star(3)
+    assert isinstance(exc.value.__cause__, ConsistencyError)
 
 
 def test_round_trip_through_file(tmp_path):
@@ -169,6 +204,7 @@ def test_malformed_records_name_the_line():
         ("generators", "45", "generators must be a list"),
         ("generators", [0, 1], "generators must be >= 1"),
         ("genus", True, "genus must be an integer"),
+        ("genus", -1, "genus must be >= 0"),
         ("is_ci", "false", "is_ci must be a boolean"),
         ("frobenius", 2.9, "frobenius must be an integer"),
         ("d_max", None, "d_max must be null exactly when"),
@@ -236,3 +272,10 @@ def test_summarize_flags_verdict_tag_disagreement():
     )
     summary = summarize(list(records) + [forged], 2)
     assert summary.counterexamples == ((3, 4, 5),)
+
+
+@pytest.mark.parametrize("genus", [-1, 3])
+def test_summarize_rejects_genus_outside_the_bound(genus):
+    record = dataclasses.replace(enumerate_records(2)[-1], genus=genus)
+    with pytest.raises(ValueError, match=rf"record \[3, 4, 5\] has genus {genus}, outside 0..2"):
+        summarize([record], 2)
