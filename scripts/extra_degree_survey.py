@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from math import gcd
 
-from nsg import enumerate_semigroups, extra_degree, glue, make_semigroup
+from nsg import enumerate_semigroups, extra_degree, glue
 
 
 def main(argv=None) -> int:
@@ -24,8 +24,7 @@ def main(argv=None) -> int:
                         help="largest lambda and mu to try")
     args = parser.parse_args(argv)
 
-    donors = [make_semigroup(list(s.generators))
-              for s in enumerate_semigroups(args.donor_genus)]
+    donors = list(enumerate_semigroups(args.donor_genus))
     ratios = Counter()
     checked = 0
     for left in donors:

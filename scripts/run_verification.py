@@ -11,10 +11,9 @@ import time
 from collections import Counter
 
 from nsg import (
+    EXCEPTION_TAGS,
     NsgError,
     enumerate_records,
-    make_semigroup,
-    star_report,
     summarize,
     write_records,
 )
@@ -47,9 +46,11 @@ def _verify(args) -> int:
     print(f"{'total':>6} {summary.total:>7} {summary.ci_count:>5}")
 
     print(f"\nstar failures ({len(summary.exceptions_found)}):")
-    for gens in summary.exceptions_found:
-        margin = star_report(make_semigroup(list(gens))).margin
-        print(f"  <{','.join(str(a) for a in gens)}>  margin {margin}")
+    # summarize lists the failures in record order, so this is the same list
+    for record in records:
+        if record.exception in EXCEPTION_TAGS:
+            gens = ",".join(str(a) for a in record.generators)
+            print(f"  <{gens}>  margin {record.star.margin}")
 
     if summary.counterexamples:
         print(f"\nCOUNTEREXAMPLES ({len(summary.counterexamples)}):")

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator
 
 from .core import AperyTable, NumericalSemigroup, make_semigroup
 from .errors import BoundTooLargeError, ConsistencyError, MalformedRecordError
-from .gluing import is_complete_intersection
 from .star import (
     EXCEPTION_TAGS,
     ExceptionClass,
@@ -192,15 +191,16 @@ def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
     # the tag is not checked against the verdict here: summarize() turns a
     # disagreement into a counterexample, so the sweep keeps going
     try:
-        ci = is_complete_intersection(semigroup)
+        star = star_report(semigroup)
+        tag = _pattern_class(semigroup, star)
         return CensusRecord(
             generators=semigroup.generators,
             genus=semigroup.genus,
             frobenius=semigroup.frobenius,
             embedding_dim=semigroup.embedding_dim,
-            is_ci=ci,
-            star=star_report(semigroup),
-            exception=_pattern_class(semigroup, ci),
+            is_ci=tag is not ExceptionClass.NOT_CI,
+            star=star,
+            exception=tag,
         )
     except ConsistencyError as err:
         # name the semigroup, so one `nsg star <generators>` reproduces it
@@ -290,13 +290,23 @@ def _record_from_doc(doc: dict, where: str) -> CensusRecord:
             f"{where}: generators must be a list, got {doc['generators']!r}"
         )
     generators = tuple(_integer(a, "generator", where) for a in doc["generators"])
-    if any(a < 1 for a in generators):
+    if not generators or generators != tuple(sorted(set(generators))):
+        raise MalformedRecordError(
+            f"{where}: generators must be non-empty and strictly ascending, got {list(generators)}"
+        )
+    if generators[0] < 1:
         raise MalformedRecordError(f"{where}: generators must be >= 1, got {list(generators)}")
     genus = _integer(doc["genus"], "genus", where)
     if genus < 0:
         raise MalformedRecordError(f"{where}: genus must be >= 0, got {genus}")
     frobenius = _integer(doc["frobenius"], "frobenius", where)
+    if frobenius < -1:
+        raise MalformedRecordError(f"{where}: frobenius must be >= -1, got {frobenius}")
     embedding_dim = _integer(doc["embedding_dim"], "embedding_dim", where)
+    if embedding_dim != len(generators):
+        raise MalformedRecordError(
+            f"{where}: embedding_dim must be {len(generators)}, got {embedding_dim}"
+        )
     is_ci = doc["is_ci"]
     if not isinstance(is_ci, bool):
         raise MalformedRecordError(f"{where}: is_ci must be a boolean, got {is_ci!r}")
@@ -315,6 +325,8 @@ def _record_from_doc(doc: dict, where: str) -> CensusRecord:
     if d_max is not None:
         d_max = _integer(d_max, "d_max", where)
         margin = 2 * frobenius - d_max
+        if (verdict is StarVerdict.SATISFIED) != (margin > 0):
+            raise MalformedRecordError(f"{where}: star_verdict contradicts 2F - d_max = {margin}")
     return CensusRecord(
         generators=generators,
         genus=genus,
@@ -349,8 +361,8 @@ def _write_to(records: Iterable[CensusRecord], handle) -> int:
 def read_records(source) -> Iterator[CensusRecord]:
     """Parse JSON-line records from a path or text file object.
 
-    Raises MalformedRecordError naming the offending line on bad input;
-    blank lines are ignored.
+    Raises MalformedRecordError naming the offending line on bad input,
+    including records that describe no semigroup; blank lines are ignored.
     """
     if hasattr(source, "read"):
         yield from _read_from(source)

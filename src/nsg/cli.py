@@ -8,15 +8,11 @@ hypotheses, IO failures), 2 on usage errors (argparse handles those).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .census import (
-    enumerate_records,
-    record_to_doc,
-    summarize,
-    write_records,
-)
+from .census import enumerate_records, summarize, write_records
 from .core import gaps, make_semigroup, parse_generators
 from .errors import NsgError
 from .gluing import ci_tree, extra_degree, glue
@@ -110,17 +106,21 @@ def _cmd_presentation(args) -> int:
         ],
         "degrees": list(pres.degrees),
     }
-    if args.format == "json":
-        print(json.dumps(doc))
-        return 0
-    print(f"generators: {_csv(s.generators)}")
-    print(f"betti:      {_csv(betti) or 'none'}")
-    print(f"degrees:    {_csv(pres.degrees) or 'none'}")
-    print("relations:")
-    if not pres.relations:
-        print("  none")
-    for rel in pres.relations:
-        print(f"  {rel.left} = {rel.right}  @ {rel.degree}")
+    _emit(
+        args,
+        doc,
+        lambda: [
+            ("generators", _csv(s.generators)),
+            ("betti", _csv(betti) or "none"),
+            ("degrees", _csv(pres.degrees) or "none"),
+        ],
+    )
+    if args.format == "text":
+        print("relations:")
+        if not pres.relations:
+            print("  none")
+        for rel in pres.relations:
+            print(f"  {rel.left} = {rel.right}  @ {rel.degree}")
     return 0
 
 
@@ -280,11 +280,10 @@ def _cmd_enumerate(args) -> int:
     if args.out:
         count = write_records(records, args.out)
         print(f"wrote {count} records to {args.out}")
-        return 0
-    for record in records:
-        if args.format == "json":
-            print(json.dumps(record_to_doc(record)))
-        else:
+    elif args.format == "json":
+        write_records(records, sys.stdout)
+    else:
+        for record in records:
             print(_record_line(record))
     return 0
 
@@ -294,29 +293,20 @@ def _cmd_verify(args) -> int:
     summary = summarize(records, args.max_genus)
     if args.out:
         write_records(records, args.out)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "bound": summary.bound,
-                    "total": summary.total,
-                    "ci_count": summary.ci_count,
-                    "exceptions_found": [list(g) for g in summary.exceptions_found],
-                    "counterexamples": [list(g) for g in summary.counterexamples],
-                    "per_genus": list(summary.per_genus),
-                }
-            )
-        )
-        return 0
-    print(f"verification up to genus {summary.bound}")
-    print(f"total:           {summary.total}")
-    print(f"ci:              {summary.ci_count}")
-    exceptions = " | ".join(_csv(g) for g in summary.exceptions_found) or "none"
-    print(f"exceptions:      {exceptions}")
-    counter = " | ".join(_csv(g) for g in summary.counterexamples) or "none"
-    print(f"counterexamples: {counter}")
-    print(f"per_genus:       {' '.join(str(c) for c in summary.per_genus)}")
-    if args.out:
+    if args.format == "text":
+        print(f"verification up to genus {summary.bound}")
+    _emit(
+        args,
+        dataclasses.asdict(summary),
+        lambda: [
+            ("total", summary.total),
+            ("ci", summary.ci_count),
+            ("exceptions", " | ".join(_csv(g) for g in summary.exceptions_found) or "none"),
+            ("counterexamples", " | ".join(_csv(g) for g in summary.counterexamples) or "none"),
+            ("per_genus", " ".join(str(c) for c in summary.per_genus)),
+        ],
+    )
+    if args.out and args.format == "text":
         print(f"records written to {args.out}")
     return 0
 

@@ -16,9 +16,8 @@ core quantities read off it:
     gaps   = r, r + m, ..., below entry(r), for each residue r
 
 Tables are built by the Böcker–Lipták round robin (Algorithmica 2007), one
-walk around the residue cycles per generator, O(e * m) in all.  The same
-pass drops non-minimal generators: an entry is redundant exactly when the
-table of the generators kept before it already contains it.
+walk around the residue cycles per generator, O(e * m) in all.  One pass
+serves both make_semigroup and apery_set, and drops non-minimal generators.
 
 Everything is exact integer arithmetic; construction does all the work once
 and the resulting objects are immutable.
@@ -81,13 +80,14 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     if g != 1:
         raise NotCoprimeError(f"gcd of generators is {g}, not 1")
 
-    minimal, entries = _minimal_apery(gens)
-    m = minimal[0]
+    m = gens[0]
+    kept, entries = _apery(gens[1:], m)
+    minimal = (m, *kept)
     frob = max(entries) - m
     # entry(r) = r (mod m), so (entry(r) - r) // m counts the gaps in class r
     genus = sum((w - r) // m for r, w in enumerate(entries))
     return NumericalSemigroup(
-        generators=tuple(minimal),
+        generators=minimal,
         multiplicity=m,
         embedding_dim=len(minimal),
         apery=AperyTable(modulus=m, entries=entries),
@@ -96,20 +96,40 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     )
 
 
+def _apery(gens, m: int) -> tuple[list[int], tuple[int, ...]]:
+    """Apery table of <m, gens> mod m, and the entries of gens it kept, in O(len(gens) * m).
+
+    The table so far is Ap(<m, kept>, m), which is closed under adding its
+    elements, so an entry a >= dist[a mod m] it already reaches adds nothing
+    and is skipped (every multiple of m is, as dist[0] = 0).  Over ascending
+    generators above m the kept ones are exactly the minimal ones.
+    """
+    dist: list[int | None] = [None] * m
+    dist[0] = 0
+    kept = []
+    for a in gens:
+        w = dist[a % m]
+        if w is not None and a >= w:
+            continue
+        kept.append(a)
+        _add_generator(dist, a)
+    if None in dist:
+        raise ConsistencyError(f"unreachable residue mod {m} from generators {[m, *kept]}")
+    return kept, tuple(dist)  # type: ignore[arg-type]
+
+
 def _add_generator(dist: list[int | None], a: int) -> None:
-    """Extend the residue table dist (mod m) by the generator a, in place.
+    """Extend the residue table dist (mod m) by a, no multiple of m, in place.
 
     Böcker–Lipták round robin: adding a links residue r to r + a, splitting
     the residues into gcd(a mod m, m) cycles.  On each cycle the smallest
     entry cannot improve (any path into it through a costs at least that
     entry plus a), so one walk around the cycle from it, relaxing
     dist[r + a] against dist[r] + a, settles every entry.  Cycles with no
-    finite entry stay unreached; a multiple of m adds nothing.
+    finite entry stay unreached.
     """
     m = len(dist)
     step = a % m
-    if step == 0:
-        return
     length = m // gcd(step, m)
     for first in range(m // length):
         start, best, r = None, None, first
@@ -131,44 +151,6 @@ def _add_generator(dist: list[int | None], a: int) -> None:
                 dist[r] = w
 
 
-def _finish(dist: list[int | None], gens) -> tuple[int, ...]:
-    if None in dist:
-        raise ConsistencyError(
-            f"unreachable residue mod {len(dist)} from generators {list(gens)}"
-        )
-    return tuple(dist)  # type: ignore[arg-type]
-
-
-def _minimal_apery(sorted_gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
-    """Minimal generators and their Apery table mod the smallest one.
-
-    One pass in ascending order: the table built so far describes the
-    semigroup of the generators kept so far, which contains m, so the next
-    entry a is a sum of smaller kept entries exactly when a >= dist[a mod m].
-    Kept entries extend the table; the work is O(len(sorted_gens) * m).
-    """
-    m = sorted_gens[0]
-    dist: list[int | None] = [None] * m
-    dist[0] = 0
-    minimal = [m]
-    for a in sorted_gens[1:]:
-        w = dist[a % m]
-        if w is not None and a >= w:
-            continue
-        minimal.append(a)
-        _add_generator(dist, a)
-    return minimal, _finish(dist, minimal)
-
-
-def _apery_entries(gens, m: int) -> tuple[int, ...]:
-    """Shortest semigroup element per residue class mod m, for an element m."""
-    dist: list[int | None] = [None] * m
-    dist[0] = 0
-    for a in gens:
-        _add_generator(dist, a)
-    return _finish(dist, gens)
-
-
 def contains(semigroup: NumericalSemigroup, n: int) -> bool:
     if n < 0:
         return False
@@ -181,7 +163,7 @@ def apery_set(semigroup: NumericalSemigroup, m: int) -> AperyTable:
         raise NotAnElementError(f"{m} is not a nonzero element of {semigroup}")
     if m == semigroup.multiplicity:
         return semigroup.apery
-    return AperyTable(modulus=m, entries=_apery_entries(semigroup.generators, m))
+    return AperyTable(modulus=m, entries=_apery(semigroup.generators, m)[1])
 
 
 def frobenius(semigroup: NumericalSemigroup) -> int:

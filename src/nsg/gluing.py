@@ -97,6 +97,11 @@ class CITree:
         }
 
 
+def _non_generator_element(semigroup: NumericalSemigroup, x: int) -> bool:
+    """Whether x >= 2 is an element of the semigroup but no minimal generator."""
+    return x >= 2 and contains(semigroup, x) and x not in semigroup.generators
+
+
 def glue(
     left: NumericalSemigroup,
     right: NumericalSemigroup,
@@ -110,11 +115,11 @@ def glue(
     The result's minimal generators are exactly the scaled generators of the
     two sides; that is verified, not assumed.
     """
-    if lam < 2 or not contains(left, lam) or lam in left.generators:
+    if not _non_generator_element(left, lam):
         raise LambdaNotEligibleError(
             f"lambda={lam} is not a non-generator element >= 2 of {left}"
         )
-    if mu < 2 or not contains(right, mu) or mu in right.generators:
+    if not _non_generator_element(right, mu):
         raise MuNotEligibleError(
             f"mu={mu} is not a non-generator element >= 2 of {right}"
         )
@@ -156,9 +161,10 @@ def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
                 raise ConsistencyError(f"non-minimal left quotient for {list(left_part)}")
             if right_quotient.generators != tuple(b // lam for b in right_part):
                 raise ConsistencyError(f"non-minimal right quotient for {list(right_part)}")
-            if not contains(left_quotient, lam) or lam in left_quotient.generators:
-                continue
-            if not contains(right_quotient, mu) or mu in right_quotient.generators:
+            if not (
+                _non_generator_element(left_quotient, lam)
+                and _non_generator_element(right_quotient, mu)
+            ):
                 continue
             splits.append(
                 GluingSplit(

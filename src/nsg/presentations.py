@@ -191,7 +191,9 @@ def minimal_presentation(semigroup: NumericalSemigroup) -> Presentation:
     For each Betti element the R-classes are ordered by their least
     factorization; each later class contributes one relation tying its least
     factorization to that of the first class.  Any such choice is minimal,
-    and this one is canonical, so repeated calls agree exactly.
+    and this one is canonical, so repeated calls agree exactly.  Betti
+    elements ascend and classes come by least member, so the relations are
+    built in (degree, left) order, unsorted.
     """
     relations = []
     for b in betti_elements(semigroup):
@@ -199,8 +201,7 @@ def minimal_presentation(semigroup: NumericalSemigroup) -> Presentation:
         anchor = Factorization(first, b)
         for rep in rest:
             relations.append(Relation(left=Factorization(rep, b), right=anchor, degree=b))
-    relations.sort(key=lambda rel: (rel.degree, rel.left.coords))
-    degrees = tuple(sorted(rel.degree for rel in relations))
+    degrees = tuple(rel.degree for rel in relations)
     return Presentation(relations=tuple(relations), degrees=degrees)
 
 

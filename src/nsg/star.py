@@ -125,11 +125,15 @@ def star_report(semigroup: NumericalSemigroup) -> StarReport:
     )
 
 
-def _pattern_class(semigroup: NumericalSemigroup, ci: bool) -> ExceptionClass:
-    """Tag from the generator pattern alone, no star computation."""
+def _pattern_class(semigroup: NumericalSemigroup, report: StarReport) -> ExceptionClass:
+    """Tag from the generator pattern and the CI decision of star_report.
+
+    star_report, the one place that decides CI, is undefined exactly for N
+    and non complete intersections; so with e >= 2 undefined means not_ci.
+    """
     if semigroup.embedding_dim == 1:
         return ExceptionClass.UNDEFINED
-    if not ci:
+    if report.verdict is StarVerdict.UNDEFINED:
         return ExceptionClass.NOT_CI
     if semigroup.embedding_dim == 2:
         a, b = semigroup.generators
@@ -146,16 +150,17 @@ def classify_exception(semigroup: NumericalSemigroup) -> ExceptionClass:
     """Exception taxonomy tag, with the star verdict double-checked.
 
     The tag is decided by the generator pattern and complete intersection
-    membership alone; the computed star report must then give the verdict
-    expected_verdict promises for it.  Disagreement raises ConsistencyError.
+    membership alone; the star report it reads CI off must then give the
+    verdict expected_verdict promises for it.  Disagreement raises
+    ConsistencyError.
     """
-    tag = _pattern_class(semigroup, is_complete_intersection(semigroup))
-    verdict = star_report(semigroup).verdict
+    report = star_report(semigroup)
+    tag = _pattern_class(semigroup, report)
     expected = expected_verdict(tag)
-    if verdict is not expected:
+    if report.verdict is not expected:
         raise ConsistencyError(
             f"{semigroup}: pattern tag {tag.value} expects star verdict "
-            f"{expected.value}, computed {verdict.value}"
+            f"{expected.value}, computed {report.verdict.value}"
         )
     return tag
 
@@ -231,8 +236,8 @@ def hypotheses_report(semigroup: NumericalSemigroup) -> HypothesisReport:
     says whether it is satisfied.  Non complete intersections fall outside
     the setting entirely.
     """
-    ci = is_complete_intersection(semigroup)
     star = star_report(semigroup)
+    ci = _pattern_class(semigroup, star) is not ExceptionClass.NOT_CI
     if not ci:
         branch = "not_complete_intersection"
         holds = False

@@ -3,10 +3,12 @@
 import dataclasses
 import io
 import json
+import sys
 
 import pytest
 
 import nsg.census
+import nsg.gluing
 from nsg import (
     BoundTooLargeError,
     CensusRecord,
@@ -165,6 +167,25 @@ def test_consistency_error_in_a_sweep_names_the_semigroup(monkeypatch):
     assert isinstance(exc.value.__cause__, ConsistencyError)
 
 
+def test_one_ci_decision_per_census_record(monkeypatch):
+    # star_report decides CI and record_for reads it off the report; N needs
+    # no decision at all
+    real = nsg.gluing.is_complete_intersection
+    calls = []
+
+    def counted(semigroup):
+        calls.append(semigroup.generators)
+        return real(semigroup)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nsg" and vars(module).get("is_complete_intersection") is real:
+            monkeypatch.setattr(module, "is_complete_intersection", counted)
+    for s in enumerate_semigroups(8):
+        before = len(calls)
+        record_for(s)
+        assert len(calls) - before == (s.embedding_dim > 1), s
+
+
 def test_round_trip_through_file(tmp_path):
     records = enumerate_records(4)
     path = tmp_path / "census.ndjson"
@@ -208,6 +229,12 @@ def test_malformed_records_name_the_line():
         ("is_ci", "false", "is_ci must be a boolean"),
         ("frobenius", 2.9, "frobenius must be an integer"),
         ("d_max", None, "d_max must be null exactly when"),
+        ("generators", [], "generators must be non-empty and strictly ascending"),
+        ("generators", [3, 2], "generators must be non-empty and strictly ascending"),
+        ("generators", [2, 2, 3], "generators must be non-empty and strictly ascending"),
+        ("embedding_dim", 7, "embedding_dim must be 2"),
+        ("frobenius", -5, "frobenius must be >= -1"),
+        ("star_verdict", "satisfied", "star_verdict contradicts 2F - d_max = -4"),
     ]:
         bad = json.dumps({**doc, field: value})
         with pytest.raises(MalformedRecordError, match=f"line 2: {reason}"):

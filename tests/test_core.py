@@ -13,6 +13,7 @@ from nsg import (
     NotCoprimeError,
     apery_set,
     contains,
+    enumerate_semigroups,
     frobenius,
     gaps,
     make_semigroup,
@@ -198,6 +199,19 @@ def test_apery_tables_match_reachability(gens):
         if n < 1 or n > 200:
             continue
         assert list(apery_set(s, n).entries) == naive_apery(gens, n)
+
+
+def test_apery_tables_match_reachability_for_every_small_element():
+    # every element up to a_e + m of every semigroup of genus <= 10: the
+    # modulus is a generator, a multiple of one, or any other element
+    pairs = 0
+    for s in enumerate_semigroups(10):
+        top = s.generators[-1] + s.multiplicity
+        for n in range(1, top + 1):
+            if n in s:
+                pairs += 1
+                assert list(apery_set(s, n).entries) == naive_apery(s.generators, n), (s, n)
+    assert pairs == 6049
 
 
 @settings(max_examples=100, deadline=None)

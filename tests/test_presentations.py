@@ -19,6 +19,7 @@ from nsg import (
     r_classes,
     relation_degrees,
 )
+from nsg.presentations import _components
 
 from oracles import naive_factorizations, naive_r_classes, rewrite_connected
 
@@ -129,28 +130,34 @@ def test_presentation_size_counts_extra_classes():
 def test_ci_routes_and_betti_scan_bound_through_genus_15():
     # the library decides CI by the gluing tree alone, and the full Betti
     # scan of betti_by_full_scan stops at F + a_{e-1} + a_e; here the
-    # relation count must agree with the tree, and the next a_e elements
-    # past the bound must be single-class
+    # relation count must agree with the tree, the relations must come in
+    # (degree, left) order without a sort, and the next a_e elements past
+    # the bound must be single-class.  Classes are counted as components
+    # of G_n, which other tests check against naive_r_classes.
     mismatches = []
+    unordered = []
     beyond_bound = []
     semigroups = 0
     window_fibers = 0
     for s in enumerate_semigroups(15):
         semigroups += 1
-        by_count = len(minimal_presentation(s).relations) == s.embedding_dim - 1
-        if by_count != (ci_tree(s) is not None):
+        relations = minimal_presentation(s).relations
+        if (len(relations) == s.embedding_dim - 1) != (ci_tree(s) is not None):
             mismatches.append(s.generators)
+        if list(relations) != sorted(relations, key=lambda r: (r.degree, r.left.coords)):
+            unordered.append(s.generators)
         if s.embedding_dim < 2:
             continue
         bound = s.frobenius + s.generators[-2] + s.generators[-1]
         for n in range(bound + 1, bound + s.generators[-1] + 1):
             if n in s:
                 window_fibers += 1
-                if len(r_classes(s, n)) != 1:
+                if len(set(_components(s, n).values())) != 1:
                     beyond_bound.append((s.generators, n))
     assert semigroups == 6964
     assert window_fibers == 158081
     assert mismatches == []
+    assert unordered == []
     assert beyond_bound == []
 
 
