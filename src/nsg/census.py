@@ -315,6 +315,25 @@ def _record_from_doc(doc: dict, where: str) -> CensusRecord:
         exception = ExceptionClass(doc["exception"])
     except ValueError as err:
         raise MalformedRecordError(f"{where}: {err}") from None
+    # record_for's contract, which reading alone can check: N is the one
+    # undefined tag, not_ci tags exactly the non-CIs, and the star verdict
+    # is undefined exactly for them and N; a tag that disagrees with a
+    # defined verdict stays readable, for summarize to report
+    if (exception is ExceptionClass.UNDEFINED) != (embedding_dim == 1):
+        raise MalformedRecordError(
+            f"{where}: exception must be undefined exactly when embedding_dim is 1, "
+            f"got {exception.value} with embedding_dim {embedding_dim}"
+        )
+    if is_ci != (exception is not ExceptionClass.NOT_CI):
+        raise MalformedRecordError(
+            f"{where}: is_ci must be false exactly when exception is not_ci, "
+            f"got is_ci={json.dumps(is_ci)} with {exception.value}"
+        )
+    if (verdict is StarVerdict.UNDEFINED) != (not is_ci or embedding_dim == 1):
+        raise MalformedRecordError(
+            f"{where}: star_verdict must be undefined exactly for non-CIs and N, "
+            f"got {verdict.value}"
+        )
     d_max = doc["d_max"]
     if (d_max is None) != (verdict is StarVerdict.UNDEFINED):
         raise MalformedRecordError(
@@ -362,7 +381,8 @@ def read_records(source) -> Iterator[CensusRecord]:
     """Parse JSON-line records from a path or text file object.
 
     Raises MalformedRecordError naming the offending line on bad input,
-    including records that describe no semigroup; blank lines are ignored.
+    including records that describe no semigroup and records whose CI flag,
+    tag and verdict contradict each other; blank lines are ignored.
     """
     if hasattr(source, "read"):
         yield from _read_from(source)

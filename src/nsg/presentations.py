@@ -11,9 +11,12 @@ connect its classes: c - 1 relations for c classes.
 The classes are computed through the generator graph G_n, whose vertices
 are the generators a_i with n - a_i in S and whose edges join a_i and a_j
 when n - a_i - a_j is in S.  For n > 0 its components are in bijection with
-the R-classes (proof at _components), so counting classes takes only
-membership tests, and assigning a factorization to its class takes one
-look at its support.
+the R-classes (proof at _components).  One breadth-first pass over G_n,
+reading membership off the Apery table, counts the classes without
+enumerating a fiber; a factorization goes to the class of the component
+holding its first nonzero coordinate.  Fibers themselves are enumerated by
+one pruned search (_coords), which serves factorizations, r_classes and
+the relations of minimal_presentation.
 
 The relation count of a minimal presentation, compared with the number of
 generators, detects complete intersections; the multiset of relation degrees
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import NumericalSemigroup, contains
+from .core import NumericalSemigroup
 from .errors import NegativeElementError
 
 
@@ -56,18 +59,22 @@ def _coords(semigroup: NumericalSemigroup, n: int) -> list[tuple[int, ...]]:
 
     Fills coordinates from the largest generator down; a partial choice is
     abandoned as soon as the remainder falls outside the semigroup, which is
-    sound because any completion would witness membership.
+    sound because any completion would witness membership.  Membership is
+    read straight off the Apery table: k is in S exactly when
+    k >= entries[k % m], and the remainders here are never negative.
     """
     gens = semigroup.generators
+    entries = semigroup.apery.entries
+    m = semigroup.multiplicity
     e = len(gens)
-    if n < 0 or not contains(semigroup, n):
+    if n < 0 or n < entries[n % m]:
         return []
     out: list[tuple[int, ...]] = []
     cur = [0] * e
 
     def fill(i: int, rem: int) -> None:
         if i == 0:
-            q, r = divmod(rem, gens[0])
+            q, r = divmod(rem, m)
             if r == 0:
                 cur[0] = q
                 out.append(tuple(cur))
@@ -76,7 +83,7 @@ def _coords(semigroup: NumericalSemigroup, n: int) -> list[tuple[int, ...]]:
         a = gens[i]
         for c in range(rem // a, -1, -1):
             rest = rem - c * a
-            if contains(semigroup, rest):
+            if rest >= entries[rest % m]:
                 cur[i] = c
                 fill(i - 1, rest)
         cur[i] = 0
@@ -92,8 +99,8 @@ def factorizations(semigroup: NumericalSemigroup, n: int) -> frozenset[Factoriza
     return frozenset(Factorization(c, n) for c in _coords(semigroup, n))
 
 
-def _components(semigroup: NumericalSemigroup, n: int) -> dict[int, int]:
-    """Components of the generator graph G_n: each vertex mapped to its root.
+def _components(semigroup: NumericalSemigroup, n: int) -> list[list[int]]:
+    """Components of the generator graph G_n, as lists of generator indices.
 
     G_n has a vertex i for each generator with n - a_i in S, and an edge
     {i, j} when n - a_i - a_j is in S; membership is read off the Apery
@@ -114,29 +121,37 @@ def _components(semigroup: NumericalSemigroup, n: int) -> dict[int, int]:
     By the second point, factorizations whose supports lie in one component
     share a class; adjacent factorizations share a generator, so by the
     first point a class never leaves its component; and by the third every
-    component carries a class.  Costs O(e^2) membership tests, with no fiber
-    enumerated.
+    component carries a class.
+
+    One breadth-first pass: each component starts at the least pending
+    vertex, and every vertex it reaches is moved out of the pending list, so
+    each pair is tested at most once, from the vertex reached first.  Costs
+    e membership tests for the vertices and at most e(e - 1)/2 for the
+    edges, only e - 1 when the first vertex is joined to all others; no
+    fiber is enumerated.  Components come in the order of their least vertex.
     """
     gens = semigroup.generators
     entries = semigroup.apery.entries
     m = semigroup.multiplicity
-    root = {i: i for i, a in enumerate(gens) if n - a >= entries[(n - a) % m]}
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    vertices = list(root)
-    for p, i in enumerate(vertices):
-        for j in vertices[p + 1:]:
-            k = n - gens[i] - gens[j]
-            if k >= entries[k % m]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    root[rj] = ri
-    return {i: find(i) for i in vertices}
+    pending = [i for i, a in enumerate(gens) if n - a >= entries[(n - a) % m]]
+    components: list[list[int]] = []
+    while pending:
+        component = [pending[0]]
+        pending = pending[1:]
+        for i in component:
+            if not pending:
+                break
+            rest = n - gens[i]
+            unreached = []
+            for j in pending:
+                k = rest - gens[j]
+                if k >= entries[k % m]:
+                    component.append(j)
+                else:
+                    unreached.append(j)
+            pending = unreached
+        components.append(component)
+    return components
 
 
 def _blocks(semigroup: NumericalSemigroup, n: int) -> list[list[tuple[int, ...]]]:
@@ -146,11 +161,14 @@ def _blocks(semigroup: NumericalSemigroup, n: int) -> list[list[tuple[int, ...]]
     component of its first nonzero coordinate; the zero factorization of 0
     has no support and is a class of its own.
     """
-    component = _components(semigroup, n)
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    component_of: list[int | None] = [None] * semigroup.embedding_dim
+    for label, component in enumerate(_components(semigroup, n)):
+        for i in component:
+            component_of[i] = label
+    groups: dict[int | None, list[tuple[int, ...]]] = {}
     for c in sorted(_coords(semigroup, n)):
-        first = next((i for i, x in enumerate(c) if x), -1)
-        groups.setdefault(component.get(first, -1), []).append(c)
+        first = next((i for i, x in enumerate(c) if x), None)
+        groups.setdefault(None if first is None else component_of[first], []).append(c)
     return list(groups.values())
 
 
@@ -181,7 +199,7 @@ def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
         return []
     rest = semigroup.generators[1:]
     candidates = sorted({w + a for w in semigroup.apery.entries for a in rest})
-    return [b for b in candidates if len(set(_components(semigroup, b).values())) >= 2]
+    return [b for b in candidates if len(_components(semigroup, b)) >= 2]
 
 
 @lru_cache(maxsize=4096)

@@ -1,8 +1,9 @@
 """Slow, independent reference implementations used to check the library.
 
 Everything here is written for obviousness, not speed: membership by
-reachability, factorizations by exhaustive product, connectivity by
-repeated merging.  None of it shares code with src/nsg.
+reachability, factorizations by exhaustive product or by extending the
+fibers over fewer generators, connectivity by repeated merging.  None of it
+shares code with src/nsg.
 """
 
 from __future__ import annotations
@@ -76,6 +77,23 @@ def naive_factorizations(generators, n):
         for c in itertools.product(*ranges)
         if sum(x * a for x, a in zip(c, gens)) == n
     )
+
+
+def fiber_table(generators, top):
+    """Every factorization of every n <= top, as table[n], a list of tuples.
+
+    Built one generator at a time: the factorizations of n over a_1..a_k
+    are those of n - c * a_k over a_1..a_{k-1}, each extended by c, for
+    c = 0..n // a_k; over no generators only 0 factors, as ().  Each fiber
+    is listed once per factorization, in no particular order.
+    """
+    table = [[()]] + [[] for _ in range(top)]
+    for a in generators:
+        table = [
+            [f + (c,) for c in range(n // a + 1) for f in table[n - c * a]]
+            for n in range(top + 1)
+        ]
+    return table
 
 
 def _share_support(u, v):

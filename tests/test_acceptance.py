@@ -19,7 +19,6 @@ from nsg import (
     ci_tree,
     enumerate_records,
     enumerate_semigroups,
-    factorizations,
     glue,
     extra_degree,
     make_semigroup,
@@ -30,7 +29,7 @@ from nsg import (
     write_records,
 )
 
-from oracles import naive_frobenius, naive_semigroups
+from oracles import fiber_table, naive_frobenius, naive_semigroups
 
 # A007323 (Bras-Amorós), genus 0..15; the gap-subset oracle covers 0..8
 EXPECTED_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857]
@@ -104,11 +103,11 @@ def test_criterion_3_two_generated_margin_bound():
 
 
 def _connected_under(facts, moves, powers):
-    """Union-find closure of one fiber under the rewriting moves."""
+    """Union-find closure of one fiber, given as coordinate tuples, under the moves."""
     count = len(facts)
     if count <= 1:
         return True
-    A = np.array(sorted(f.coords for f in facts), dtype=np.int64)
+    A = np.array(facts, dtype=np.int64)
     keys = A @ powers
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -140,6 +139,7 @@ def _connected_under(facts, moves, powers):
 
 
 def test_criterion_4_presentations_generate_and_detect_ci():
+    # fibers come from the oracle's bulk table, not from the library
     disconnected = []
     ci_mismatches = []
     wrong_size = []
@@ -168,13 +168,14 @@ def test_criterion_4_presentations_generate_and_detect_ci():
         base = top // s.multiplicity + 2
         powers = base ** np.arange(s.embedding_dim, dtype=np.int64)
         assert base ** s.embedding_dim < 2 ** 62
+        table = fiber_table(s.generators, top)
         for n in range(2, top + 1):
-            facts = factorizations(s, n)
+            facts = table[n]
             if len(facts) > 1:
                 fibers += 1
                 if not _connected_under(facts, moves, powers):
                     disconnected.append((s.generators, n))
-    ok = not disconnected and not ci_mismatches and not wrong_size
+    ok = not disconnected and not ci_mismatches and not wrong_size and fibers == 123596
     assert report(
         "criterion 4 (presentations connect all fibers, CI routes agree, genus <= 12)",
         ok,

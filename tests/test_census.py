@@ -239,6 +239,42 @@ def test_malformed_records_name_the_line():
         bad = json.dumps({**doc, field: value})
         with pytest.raises(MalformedRecordError, match=f"line 2: {reason}"):
             list(read_records(io.StringIO(good + "\n" + bad + "\n")))
+    # fields that contradict each other: <2,3>, N and <3,4,5>
+    natural, _, two_gen, three_gen = (record_to_doc(r) for r in enumerate_records(2))
+    for bad_doc, reason in [
+        (
+            {**doc, "is_ci": False, "exception": "satisfies"},
+            "is_ci must be false exactly when exception is not_ci, got is_ci=false with satisfies",
+        ),
+        (
+            {**doc, "star_verdict": "undefined", "d_max": None, "exception": "three_four"},
+            "star_verdict must be undefined exactly for non-CIs and N, got undefined",
+        ),
+        (
+            {**natural, "exception": "not_ci"},
+            "exception must be undefined exactly when embedding_dim is 1, got not_ci",
+        ),
+        (
+            {**three_gen, "is_ci": True},
+            "is_ci must be false exactly when exception is not_ci, got is_ci=true with not_ci",
+        ),
+        (
+            {**two_gen, "exception": "undefined"},
+            "exception must be undefined exactly when embedding_dim is 1, got undefined",
+        ),
+        (
+            {**three_gen, "is_ci": True, "exception": "satisfies"},
+            "star_verdict must be undefined exactly for non-CIs and N, got undefined",
+        ),
+    ]:
+        bad = json.dumps(bad_doc)
+        with pytest.raises(MalformedRecordError, match=f"line 2: {reason}"):
+            list(read_records(io.StringIO(good + "\n" + bad + "\n")))
+    # a tag that disagrees with a defined verdict is readable: summarize
+    # reports it as a counterexample
+    mistagged = json.dumps({**doc, "exception": "satisfies"})
+    (record,) = read_records(io.StringIO(mistagged + "\n"))
+    assert summarize([record], 1).counterexamples == ((2, 3),)
 
 
 def test_record_doc_field_order():

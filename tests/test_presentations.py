@@ -1,5 +1,6 @@
 """Factorizations, R-classes, Betti elements, minimal presentations."""
 
+import hashlib
 import random
 from math import gcd
 
@@ -21,7 +22,13 @@ from nsg import (
 )
 from nsg.presentations import _components
 
-from oracles import naive_factorizations, naive_r_classes, rewrite_connected
+from oracles import (
+    fiber_table,
+    naive_factorizations,
+    naive_member,
+    naive_r_classes,
+    rewrite_connected,
+)
 
 CURATED = [
     (2, 3),
@@ -47,9 +54,13 @@ def class_coords(classes):
 
 @pytest.mark.parametrize("gens", CURATED)
 def test_factorizations_match_exhaustive_search(gens):
+    # the library's fibers and the oracle's bulk table, against exhaustive search
     s = make_semigroup(list(gens))
+    table = fiber_table(s.generators, 74)
     for n in range(0, 75):
-        assert coords_of(factorizations(s, n)) == naive_factorizations(s.generators, n)
+        expected = naive_factorizations(s.generators, n)
+        assert coords_of(factorizations(s, n)) == expected
+        assert sorted(table[n]) == expected
 
 
 def test_factorization_edge_cases():
@@ -152,13 +163,69 @@ def test_ci_routes_and_betti_scan_bound_through_genus_15():
         for n in range(bound + 1, bound + s.generators[-1] + 1):
             if n in s:
                 window_fibers += 1
-                if len(set(_components(s, n).values())) != 1:
+                if len(_components(s, n)) != 1:
                     beyond_bound.append((s.generators, n))
     assert semigroups == 6964
     assert window_fibers == 158081
     assert mismatches == []
     assert unordered == []
     assert beyond_bound == []
+
+
+def test_components_are_the_components_of_the_generator_graph_through_genus_10():
+    # G_n built from reachability alone: the returned lists must partition
+    # its vertices, each list must be connected, no edge may join two lists,
+    # and for n > 0 there is one list per R-class of the oracle's fiber
+    checked = 0
+    for s in enumerate_semigroups(10):
+        gens = s.generators
+        top = s.frobenius + 2 * gens[-1]
+        fibers = fiber_table(gens, top)
+        for n in range(top + 1):
+            vertices = [i for i, a in enumerate(gens) if naive_member(gens, n - a)]
+            edges = {
+                (i, j)
+                for i in vertices
+                for j in vertices
+                if i != j and naive_member(gens, n - gens[i] - gens[j])
+            }
+            components = _components(s, n)
+            assert sorted(i for c in components for i in c) == vertices, (s, n)
+            label = {i: k for k, c in enumerate(components) for i in c}
+            assert all(label[i] == label[j] for i, j in edges), (s, n)
+            for component in components:
+                reached = {component[0]}
+                grew = True
+                while grew:
+                    grew = False
+                    for i, j in edges:
+                        if i in reached and j not in reached:
+                            reached.add(j)
+                            grew = True
+                assert reached == set(component), (s, n)
+            if n > 0:
+                assert len(components) == len(naive_r_classes(fibers[n])), (s, n)
+            checked += 1
+    assert checked == 21215
+
+
+# sha256 over every semigroup of genus <= 13, by ascending generators, of
+# repr((generators, relations, degrees)) plus a newline, each relation as
+# (left coords, right coords, degree); it pins which relations are chosen
+# and their order
+PRESENTATION_SHA256 = "2b41c40ee6d7f2561441e8afcc490d5218efb51d1ae38585a1009f54937116df"
+
+
+def test_presentations_through_genus_13_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for s in sorted(enumerate_semigroups(13), key=lambda s: s.generators):
+        pres = minimal_presentation(s)
+        relations = tuple((r.left.coords, r.right.coords, r.degree) for r in pres.relations)
+        digest.update(repr((s.generators, relations, pres.degrees)).encode() + b"\n")
+        count += 1
+    assert count == 2414
+    assert digest.hexdigest() == PRESENTATION_SHA256
 
 
 def betti_by_full_scan(s):
