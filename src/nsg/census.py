@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator
 
 from .core import AperyTable, NumericalSemigroup, make_semigroup
@@ -259,95 +260,137 @@ def verify_star(max_genus: int, *, ceiling: int | None = None) -> VerificationSu
     return summarize(records, max_genus)
 
 
+def _line(record: CensusRecord) -> str:
+    """The record's NDJSON line: json.dumps(doc) + "\n" for its field dict.
+
+    The template renders exactly what json.dumps does with its default
+    separators ", " and ": ", for records shaped as record_for and
+    read_records build them: the int fields format as their repr, which is
+    json's int form; the generators tuple becomes a list of ints, whose repr
+    is json's "[a, b]" (and "[]"); is_ci is spelled true/false and an absent
+    d_max null; and every StarVerdict and ExceptionClass value matches
+    [a-z_]+, so its quoted form needs no escaping.  _value_ is the member's
+    value as a plain attribute; the value property costs a Python call.
+    """
+    star = record.star
+    d_max = star.d_max
+    return (
+        f'{{"generators": {list(record.generators)}, "genus": {record.genus}, '
+        f'"frobenius": {record.frobenius}, "embedding_dim": {record.embedding_dim}, '
+        f'"is_ci": {"true" if record.is_ci else "false"}, '
+        f'"star_verdict": "{star.verdict._value_}", '
+        f'"d_max": {"null" if d_max is None else d_max}, '
+        f'"exception": "{record.exception._value_}"}}\n'
+    )
+
+
 def record_to_doc(record: CensusRecord) -> dict:
-    return {
-        "generators": list(record.generators),
-        "genus": record.genus,
-        "frobenius": record.frobenius,
-        "embedding_dim": record.embedding_dim,
-        "is_ci": record.is_ci,
-        "star_verdict": record.star.verdict.value,
-        "d_max": record.star.d_max,
-        "exception": record.exception.value,
-    }
+    """The record's JSON object, fields in RECORD_FIELDS order."""
+    return json.loads(_line(record))
 
 
-def _integer(value, name: str, where: str) -> int:
-    # json.loads yields int only for integer literals; bool is excluded too
-    if type(value) is not int:
-        raise MalformedRecordError(f"{where}: {name} must be an integer, got {value!r}")
-    return value
+_VERDICTS = {member.value: member for member in StarVerdict}
+_TAGS = {member.value: member for member in ExceptionClass}
 
 
-def _record_from_doc(doc: dict, where: str) -> CensusRecord:
+def _record_from_doc(doc) -> CensusRecord:
+    """The record a parsed line describes, checked as far as reading can.
+
+    Raises MalformedRecordError without the line; _read_from prefixes it.
+    The happy path makes no call per field: enum members come from value
+    dicts, tried only for str values, so an unhashable [1] still reaches
+    the "is not a valid" message.
+    """
     if not isinstance(doc, dict):
-        raise MalformedRecordError(f"{where}: not a JSON object")
-    missing = [f for f in RECORD_FIELDS if f not in doc]
-    if missing:
-        raise MalformedRecordError(f"{where}: missing fields {missing}")
-    if not isinstance(doc["generators"], list):
+        raise MalformedRecordError("not a JSON object")
+    try:
+        generators = doc["generators"]
+        genus = doc["genus"]
+        frobenius = doc["frobenius"]
+        embedding_dim = doc["embedding_dim"]
+        is_ci = doc["is_ci"]
+        verdict = doc["star_verdict"]
+        exception = doc["exception"]
+        d_max = doc["d_max"]
+    except KeyError:
+        missing = [f for f in RECORD_FIELDS if f not in doc]
+        raise MalformedRecordError(f"missing fields {missing}") from None
+    if not isinstance(generators, list):
+        raise MalformedRecordError(f"generators must be a list, got {generators!r}")
+    # one pass: every entry an int (json.loads yields int only for integer
+    # literals, and bool is excluded too), and whether they strictly ascend
+    ascending = bool(generators)
+    previous = None
+    for a in generators:
+        if type(a) is not int:
+            raise MalformedRecordError(f"generator must be an integer, got {a!r}")
+        if previous is not None and a <= previous:
+            ascending = False
+        previous = a
+    if not ascending:
         raise MalformedRecordError(
-            f"{where}: generators must be a list, got {doc['generators']!r}"
-        )
-    generators = tuple(_integer(a, "generator", where) for a in doc["generators"])
-    if not generators or generators != tuple(sorted(set(generators))):
-        raise MalformedRecordError(
-            f"{where}: generators must be non-empty and strictly ascending, got {list(generators)}"
+            f"generators must be non-empty and strictly ascending, got {generators}"
         )
     if generators[0] < 1:
-        raise MalformedRecordError(f"{where}: generators must be >= 1, got {list(generators)}")
-    genus = _integer(doc["genus"], "genus", where)
+        raise MalformedRecordError(f"generators must be >= 1, got {generators}")
+    if gcd(*generators) != 1:
+        raise MalformedRecordError(f"generators must have gcd 1, got {generators}")
+    if type(genus) is not int:
+        raise MalformedRecordError(f"genus must be an integer, got {genus!r}")
     if genus < 0:
-        raise MalformedRecordError(f"{where}: genus must be >= 0, got {genus}")
-    frobenius = _integer(doc["frobenius"], "frobenius", where)
+        raise MalformedRecordError(f"genus must be >= 0, got {genus}")
+    if type(frobenius) is not int:
+        raise MalformedRecordError(f"frobenius must be an integer, got {frobenius!r}")
     if frobenius < -1:
-        raise MalformedRecordError(f"{where}: frobenius must be >= -1, got {frobenius}")
-    embedding_dim = _integer(doc["embedding_dim"], "embedding_dim", where)
+        raise MalformedRecordError(f"frobenius must be >= -1, got {frobenius}")
+    if type(embedding_dim) is not int:
+        raise MalformedRecordError(f"embedding_dim must be an integer, got {embedding_dim!r}")
     if embedding_dim != len(generators):
         raise MalformedRecordError(
-            f"{where}: embedding_dim must be {len(generators)}, got {embedding_dim}"
+            f"embedding_dim must be {len(generators)}, got {embedding_dim}"
         )
-    is_ci = doc["is_ci"]
-    if not isinstance(is_ci, bool):
-        raise MalformedRecordError(f"{where}: is_ci must be a boolean, got {is_ci!r}")
-    try:
-        verdict = StarVerdict(doc["star_verdict"])
-        exception = ExceptionClass(doc["exception"])
-    except ValueError as err:
-        raise MalformedRecordError(f"{where}: {err}") from None
+    if type(is_ci) is not bool:
+        raise MalformedRecordError(f"is_ci must be a boolean, got {is_ci!r}")
+    if type(verdict) is not str or verdict not in _VERDICTS:
+        raise MalformedRecordError(f"{verdict!r} is not a valid StarVerdict")
+    verdict = _VERDICTS[verdict]
+    if type(exception) is not str or exception not in _TAGS:
+        raise MalformedRecordError(f"{exception!r} is not a valid ExceptionClass")
+    exception = _TAGS[exception]
     # record_for's contract, which reading alone can check: N is the one
     # undefined tag, not_ci tags exactly the non-CIs, and the star verdict
     # is undefined exactly for them and N; a tag that disagrees with a
     # defined verdict stays readable, for summarize to report
     if (exception is ExceptionClass.UNDEFINED) != (embedding_dim == 1):
         raise MalformedRecordError(
-            f"{where}: exception must be undefined exactly when embedding_dim is 1, "
+            "exception must be undefined exactly when embedding_dim is 1, "
             f"got {exception.value} with embedding_dim {embedding_dim}"
         )
     if is_ci != (exception is not ExceptionClass.NOT_CI):
         raise MalformedRecordError(
-            f"{where}: is_ci must be false exactly when exception is not_ci, "
+            "is_ci must be false exactly when exception is not_ci, "
             f"got is_ci={json.dumps(is_ci)} with {exception.value}"
         )
-    if (verdict is StarVerdict.UNDEFINED) != (not is_ci or embedding_dim == 1):
+    undefined = verdict is StarVerdict.UNDEFINED
+    if undefined != (not is_ci or embedding_dim == 1):
         raise MalformedRecordError(
-            f"{where}: star_verdict must be undefined exactly for non-CIs and N, "
+            "star_verdict must be undefined exactly for non-CIs and N, "
             f"got {verdict.value}"
         )
-    d_max = doc["d_max"]
-    if (d_max is None) != (verdict is StarVerdict.UNDEFINED):
+    if (d_max is None) != undefined:
         raise MalformedRecordError(
-            f"{where}: d_max must be null exactly when star_verdict is undefined, "
+            "d_max must be null exactly when star_verdict is undefined, "
             f"got d_max={d_max!r} with {verdict.value}"
         )
     margin = None
-    if d_max is not None:
-        d_max = _integer(d_max, "d_max", where)
+    if not undefined:
+        if type(d_max) is not int:
+            raise MalformedRecordError(f"d_max must be an integer, got {d_max!r}")
         margin = 2 * frobenius - d_max
         if (verdict is StarVerdict.SATISFIED) != (margin > 0):
-            raise MalformedRecordError(f"{where}: star_verdict contradicts 2F - d_max = {margin}")
+            raise MalformedRecordError(f"star_verdict contradicts 2F - d_max = {margin}")
     return CensusRecord(
-        generators=generators,
+        generators=tuple(generators),
         genus=genus,
         frobenius=frobenius,
         embedding_dim=embedding_dim,
@@ -371,8 +414,7 @@ def write_records(records: Iterable[CensusRecord], destination) -> int:
 def _write_to(records: Iterable[CensusRecord], handle) -> int:
     count = 0
     for record in records:
-        handle.write(json.dumps(record_to_doc(record)))
-        handle.write("\n")
+        handle.write(_line(record))
         count += 1
     return count
 
@@ -397,7 +439,7 @@ def _read_from(handle) -> Iterator[CensusRecord]:
         if not text:
             continue
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
+            record = _record_from_doc(json.loads(text))
+        except (json.JSONDecodeError, MalformedRecordError) as err:
             raise MalformedRecordError(f"line {line_no}: {err}") from None
-        yield _record_from_doc(doc, f"line {line_no}")
+        yield record

@@ -8,6 +8,7 @@ The same census also pins the census NDJSON bytes by their sha256.
 
 import hashlib
 import io
+import json
 from collections import Counter
 from math import gcd
 
@@ -28,6 +29,7 @@ from nsg import (
     summarize,
     write_records,
 )
+from nsg.census import _line
 
 from oracles import fiber_table, naive_frobenius, naive_semigroups
 
@@ -283,3 +285,20 @@ def test_census_ndjson_bytes_are_pinned(census15, bound):
     write_records([r for r in census15 if r.genus <= bound], buffer)
     digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
     assert digest == NDJSON_SHA256[bound]
+
+
+def test_census_lines_match_json_dumps(census15):
+    # the writer's template against json.dumps of a dict built here, with
+    # its default separators, for every record of genus <= 15
+    for record in census15:
+        doc = {
+            "generators": list(record.generators),
+            "genus": record.genus,
+            "frobenius": record.frobenius,
+            "embedding_dim": record.embedding_dim,
+            "is_ci": record.is_ci,
+            "star_verdict": record.star.verdict.value,
+            "d_max": record.star.d_max,
+            "exception": record.exception.value,
+        }
+        assert _line(record) == json.dumps(doc) + "\n"

@@ -6,6 +6,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nsg.census
 import nsg.gluing
@@ -33,6 +34,7 @@ from nsg.census import (
     DEFAULT_WORK_CEILING,
     ENV_WORK_CEILING,
     RECORD_FIELDS,
+    _line,
     _remove_generator,
     _walk,
 )
@@ -239,9 +241,12 @@ def test_malformed_records_name_the_line():
         bad = json.dumps({**doc, field: value})
         with pytest.raises(MalformedRecordError, match=f"line 2: {reason}"):
             list(read_records(io.StringIO(good + "\n" + bad + "\n")))
-    # fields that contradict each other: <2,3>, N and <3,4,5>
+    # fields that contradict each other: <2,3>, N and <3,4,5>; the first two
+    # are consistent but for generators that describe no numerical semigroup
     natural, _, two_gen, three_gen = (record_to_doc(r) for r in enumerate_records(2))
     for bad_doc, reason in [
+        ({**natural, "generators": [2]}, r"generators must have gcd 1, got \[2\]"),
+        ({**three_gen, "generators": [4, 6, 8]}, r"generators must have gcd 1, got \[4, 6, 8\]"),
         (
             {**doc, "is_ci": False, "exception": "satisfies"},
             "is_ci must be false exactly when exception is not_ci, got is_ci=false with satisfies",
@@ -275,6 +280,98 @@ def test_malformed_records_name_the_line():
     mistagged = json.dumps({**doc, "exception": "satisfies"})
     (record,) = read_records(io.StringIO(mistagged + "\n"))
     assert summarize([record], 1).counterexamples == ((2, 3),)
+
+
+def test_reader_messages_are_exact():
+    good = json.dumps(record_to_doc(enumerate_records(1)[1]))
+    doc = json.loads(good)
+
+    def message(bad_doc):
+        with pytest.raises(MalformedRecordError) as raised:
+            list(read_records(io.StringIO(good + "\n" + json.dumps(bad_doc) + "\n")))
+        return str(raised.value)
+
+    for value, shown in [
+        ("maybe", "'maybe'"),
+        ("Failed", "'Failed'"),
+        (1, "1"),
+        ([1], "[1]"),
+        (None, "None"),
+        ({"a": 1}, "{'a': 1}"),
+    ]:
+        assert message({**doc, "star_verdict": value}) == (
+            f"line 2: {shown} is not a valid StarVerdict"
+        )
+        assert message({**doc, "exception": value}) == (
+            f"line 2: {shown} is not a valid ExceptionClass"
+        )
+    # the verdict is read first
+    assert message({**doc, "star_verdict": [1], "exception": [2]}) == (
+        "line 2: [1] is not a valid StarVerdict"
+    )
+    for generators, shown in [([2, 3.5], "3.5"), (["2", 3], "'2'"), ([2, True], "True"),
+                              ([3, 2, None], "None"), ([[2], 3], "[2]")]:
+        assert message({**doc, "generators": generators}) == (
+            f"line 2: generator must be an integer, got {shown}"
+        )
+    for field in ("genus", "frobenius", "embedding_dim", "d_max"):
+        assert message({**doc, field: 2.0}) == f"line 2: {field} must be an integer, got 2.0"
+    assert message({**doc, "is_ci": 1}) == "line 2: is_ci must be a boolean, got 1"
+    assert message({**doc, "generators": [3, 2]}) == (
+        "line 2: generators must be non-empty and strictly ascending, got [3, 2]"
+    )
+    assert message({**doc, "generators": [-1, 2]}) == (
+        "line 2: generators must be >= 1, got [-1, 2]"
+    )
+    assert message({**doc, "generators": [0, 0]}) == (
+        "line 2: generators must be non-empty and strictly ascending, got [0, 0]"
+    )
+    missing = {k: v for k, v in doc.items() if k not in ("genus", "d_max")}
+    assert message(missing) == "line 2: missing fields ['genus', 'd_max']"
+    assert message([doc]) == "line 2: not a JSON object"
+    with pytest.raises(MalformedRecordError) as raised:
+        list(read_records(io.StringIO(good + "\n" + good[:-1] + "\n")))
+    assert str(raised.value).startswith("line 2: Expecting ',' delimiter")
+
+
+big_ints = st.integers(-(10**40), 10**40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 10**40), max_size=8),
+    big_ints,
+    big_ints,
+    big_ints,
+    st.booleans(),
+    st.sampled_from(StarVerdict),
+    st.none() | big_ints,
+    st.sampled_from(ExceptionClass),
+)
+def test_line_matches_json_dumps(generators, genus, frobenius, embedding_dim, is_ci,
+                                 verdict, d_max, tag):
+    # the template needs only the field types, not a consistent record
+    record = CensusRecord(
+        generators=tuple(generators),
+        genus=genus,
+        frobenius=frobenius,
+        embedding_dim=embedding_dim,
+        is_ci=is_ci,
+        star=StarReport(frobenius=frobenius, d_max=d_max, verdict=verdict, margin=None),
+        exception=tag,
+    )
+    doc = {
+        "generators": generators,
+        "genus": genus,
+        "frobenius": frobenius,
+        "embedding_dim": embedding_dim,
+        "is_ci": is_ci,
+        "star_verdict": verdict.value,
+        "d_max": d_max,
+        "exception": tag.value,
+    }
+    assert _line(record) == json.dumps(doc) + "\n"
+    assert record_to_doc(record) == doc
 
 
 def test_record_doc_field_order():
