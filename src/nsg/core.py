@@ -20,12 +20,17 @@ walk around the residue cycles per generator, O(e * m) in all.  One pass
 serves both make_semigroup and apery_set, and drops non-minimal generators.
 
 Everything is exact integer arithmetic; construction does all the work once
-and the resulting objects are immutable.
+and the resulting objects are immutable.  make_semigroup validates its input
+on every call, then builds through one 4096-entry lru cache keyed by the
+sorted distinct entries, so equal generator sets share one object: glue and
+check_star_gluing building the same gluing, or find_gluings rebuilding a
+donor as a quotient, pay for one construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import ConsistencyError, EmptyInputError, NotAnElementError, NotCoprimeError
@@ -67,7 +72,8 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     Duplicates and non-minimal entries are dropped; the stored generator
     tuple is the unique minimal generating set, sorted ascending.  Raises
     EmptyInputError on an empty list and NotCoprimeError when the gcd of
-    the entries exceeds 1 (the complement would be infinite).
+    the entries exceeds 1 (the complement would be infinite).  Inputs with
+    the same sorted set of entries share one immutable object.
     """
     gens = sorted(set(raw_generators))
     if not gens:
@@ -79,7 +85,12 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
         g = gcd(g, a)
     if g != 1:
         raise NotCoprimeError(f"gcd of generators is {g}, not 1")
+    return _build(tuple(gens))
 
+
+@lru_cache(maxsize=4096)
+def _build(gens: tuple[int, ...]) -> NumericalSemigroup:
+    """The semigroup of validated, sorted, distinct gens, built once per tuple."""
     m = gens[0]
     kept, entries = _apery(gens[1:], m)
     minimal = (m, *kept)

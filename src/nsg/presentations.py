@@ -18,6 +18,15 @@ holding its first nonzero coordinate.  Fibers themselves are enumerated by
 one pruned search (_coords), which serves factorizations, r_classes and
 the relations of minimal_presentation.
 
+Betti elements all lie in the window [0, W), W = max(Ap) + a_e + 1, and
+are found by one of two routes that return the same list.  When the window
+is dense, W <= 64m, _betti_bits builds the membership bitset of S in it
+once and finds every n whose G_n has two or more components by a
+bit-parallel propagation over all of the window at once, about one
+machine word per residue and bitset.  Otherwise _betti_candidates runs
+_components on each of the at most m(e - 1) candidates w + a_i, which
+stays cheap where the bitsets would be huge, as for <1000, 1000001>.
+
 The relation count of a minimal presentation, compared with the number of
 generators, detects complete intersections; the multiset of relation degrees
 (the Betti element each relation lives at, with multiplicity) is the
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .core import NumericalSemigroup
@@ -184,22 +194,126 @@ def r_classes(semigroup: NumericalSemigroup, n: int) -> list[frozenset[Factoriza
 def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
     """Elements with two or more R-classes, ascending.
 
-    Tests only the candidates w + a_i with w in Ap(S, a_1) and i >= 2, at
-    most m(e - 1) of them (Rosales, IJAC 1996).  Proof that every Betti
-    element b is one: factorizations that use a_1 all share a_1, so they lie
-    in one R-class, and b, having two classes, has a class x that avoids
-    a_1.  Take i >= 2 in the support of a factorization in x; then b - a_i
-    is in S.  If b - a_i - a_1 were in S too, b would have a factorization
-    using both a_i and a_1; sharing a_i, it would lie in x, which avoids
-    a_1, a contradiction.  So b - a_i is in S but b - a_i - a_1 is not,
-    which is to say b - a_i is in Ap(S, a_1).  A candidate is a Betti
-    element exactly when its generator graph has two or more components.
+    Every Betti element is at most max(Ap) + a_e = F + m + a_e (proof at
+    _betti_candidates), so it lies in the window [0, W) with
+    W = F + m + a_e + 1.  On a dense window, W <= 64m, _betti_bits scans all
+    of it at once; otherwise _betti_candidates tests each candidate.  Both
+    return exactly the Betti elements.
     """
     if semigroup.embedding_dim <= 1:
         return []
+    if _dense_window(semigroup):
+        return _betti_bits(semigroup)
+    return _betti_candidates(semigroup)
+
+
+def _window(semigroup: NumericalSemigroup) -> int:
+    """W = max(Ap) + a_e + 1 = F + m + a_e + 1: every Betti element is below it."""
+    return semigroup.frobenius + semigroup.multiplicity + semigroup.generators[-1] + 1
+
+
+def _dense_window(semigroup: NumericalSemigroup) -> bool:
+    """Whether the window [0, W) spans at most 64 bits per residue mod m.
+
+    Then the bit route holds about one machine word per residue in each of
+    its 2e + 1 bitsets, O(e * m) words in all, and beats testing the m(e - 1)
+    candidates one by one.  On a sparse window, such as <1000, 1000001>
+    with W about 10^9, the bitsets would be huge while the candidates stay
+    few, so the candidate route serves.
+    """
+    return _window(semigroup) <= 64 * semigroup.multiplicity
+
+
+def _betti_candidates(semigroup: NumericalSemigroup) -> list[int]:
+    """Betti elements by testing each candidate w + a_i, w in Ap(S, a_1), i >= 2.
+
+    There are at most m(e - 1) candidates (Rosales, IJAC 1996).  Proof that
+    every Betti element b is one: factorizations that use a_1 all share
+    a_1, so they lie in one R-class, and b, having two classes, has a class
+    x that avoids a_1.  Take i >= 2 in the support of a factorization in x;
+    then b - a_i is in S.  If b - a_i - a_1 were in S too, b would have a
+    factorization using both a_i and a_1; sharing a_i, it would lie in x,
+    which avoids a_1, a contradiction.  So b - a_i is in S but
+    b - a_i - a_1 is not, which is to say b - a_i is in Ap(S, a_1), and
+    b <= max(Ap) + a_e.  A candidate is a Betti element exactly when its
+    generator graph has two or more components.
+    """
     rest = semigroup.generators[1:]
     candidates = sorted({w + a for w in semigroup.apery.entries for a in rest})
     return [b for b in candidates if len(_components(semigroup, b)) >= 2]
+
+
+def _betti_bits(semigroup: NumericalSemigroup) -> list[int]:
+    """Betti elements by one bit-parallel pass over the window [0, W).
+
+    W = max(Ap) + a_e + 1, so every Betti element lies below it (proof at
+    _betti_candidates).  Bit n of an integer stands for the element n:
+
+    - member has bit k exactly when k is in S and k < W.  Every element of
+      S is w + t*m for its class's Apery entry w and some t >= 0.  Seeded
+      with the entries, and with round i = 0, 1, ... ORing in
+      member << (2^i * m), after k rounds it holds every w + t*m with
+      t < 2^k; the rounds stop once 2^k * m >= W, when every t with
+      w + t*m < W is covered, and the mask cuts the rest.
+    - V_j = (member << a_j) & mask has bit n exactly when n < W and
+      n - a_j is in S: the vertex set of generator j across all G_n.
+    - member << (a_i + a_j) has bit n, for n < W, exactly when
+      n - a_i - a_j is in S: the edge {i, j} across all G_n.  It is built
+      per use and only ever ANDed with a subset of the window, so it needs
+      no mask and no e x e table is kept.
+
+    reach_j starts as V_j minus every V_i with i < j, which marks each G_n's
+    least vertex, and grows by reach_j |= reach_i & edge_ij over all pairs
+    until a whole round changes nothing.  Every bit set marks a vertex
+    joined to the least one by a path.  Each round tries every edge, so
+    after round r every vertex within r edges of the least one is marked;
+    paths in G_n have at most e - 1 edges, so the loop ends after at most e
+    rounds, and then reach_j at bit n says exactly whether j lies in the
+    component of G_n's least vertex.  Since reach_j is a
+    subset of V_j, OR_j (V_j ^ reach_j) has bit n exactly when G_n has a
+    vertex outside that component, that is two or more components; for
+    n > 0 these count the R-classes (proof at _components), and G_0 has no
+    vertices.  Each step is a shift, AND or OR of (W / 64)-word integers,
+    so the pass costs O(e^2 * W / 64) word operations per round and
+    O(e * W / 64) words of memory.
+    """
+    gens = semigroup.generators
+    m = semigroup.multiplicity
+    window = _window(semigroup)
+    mask = (1 << window) - 1
+    seed = bytearray(window // 8 + 1)
+    for w in semigroup.apery.entries:
+        seed[w >> 3] |= 1 << (w & 7)
+    member = int.from_bytes(seed, "little")
+    shift = m
+    while shift < window:
+        member |= member << shift
+        shift <<= 1
+    member &= mask
+    vertices = [(member << a) & mask for a in gens]
+    reach = []
+    seen = 0
+    for v in vertices:
+        reach.append(v & ~seen)
+        seen |= v
+    pairs = [(i, j, a + b) for (i, a), (j, b) in combinations(enumerate(gens), 2)]
+    while True:
+        before = reach[:]
+        for i, j, total in pairs:
+            edge = member << total
+            reach[j] |= reach[i] & edge
+            reach[i] |= reach[j] & edge
+        if reach == before:
+            break
+    split = 0
+    for v, r in zip(vertices, reach):
+        split |= v ^ r
+    out = []
+    while split:
+        low = split & -split
+        out.append(low.bit_length() - 1)
+        split ^= low
+    return out
 
 
 @lru_cache(maxsize=4096)

@@ -12,13 +12,17 @@ from nsg import (
     NotAnElementError,
     NotCoprimeError,
     apery_set,
+    check_star_gluing,
     contains,
     enumerate_semigroups,
     frobenius,
     gaps,
+    glue,
     make_semigroup,
     parse_generators,
+    star_report,
 )
+from nsg.core import _build
 
 from oracles import naive_apery, naive_frobenius, naive_gaps, naive_genus, naive_member
 
@@ -91,6 +95,36 @@ def test_rejects_nonpositive_generators():
         make_semigroup([0, 3])
     with pytest.raises(ValueError):
         make_semigroup([-2, 3])
+
+
+def test_equal_generator_sets_share_one_object():
+    assert make_semigroup([9, 6, 4, 6]) is make_semigroup([4, 6, 9])
+    # the input set is the key; the redundant entry is still dropped
+    assert make_semigroup([2, 3, 10**9]) == make_semigroup([2, 3])
+    assert make_semigroup([2, 3, 10**9]).generators == (2, 3)
+
+
+def test_invalid_input_raises_on_every_call():
+    # validation runs before the shared build, so no repeat is let through
+    for _ in range(3):
+        with pytest.raises(EmptyInputError):
+            make_semigroup([])
+        with pytest.raises(NotCoprimeError):
+            make_semigroup([4, 6])
+        with pytest.raises(ValueError):
+            make_semigroup([0, 3])
+
+
+def test_glue_then_check_star_gluing_builds_the_glued_semigroup_once():
+    _build.cache_clear()
+    left, right = make_semigroup([2, 3]), make_semigroup([2, 5])
+    # their gluing trees build the quotients <1> before counting starts
+    star_report(left), star_report(right)
+    misses = _build.cache_info().misses
+    glued = glue(left, right, 4, 7)
+    report = check_star_gluing(left, right, 4, 7)
+    assert report.glued is glued
+    assert _build.cache_info().misses == misses + 1
 
 
 def test_membership_basics():

@@ -20,7 +20,8 @@ from nsg import (
     r_classes,
     relation_degrees,
 )
-from nsg.presentations import _components
+from nsg import presentations
+from nsg.presentations import _betti_bits, _betti_candidates, _components, _dense_window
 
 from oracles import (
     fiber_table,
@@ -281,6 +282,60 @@ def test_betti_candidates_match_full_scan_on_gluings():
         sizes.add(s.embedding_dim)
         assert betti_elements(s) == betti_by_full_scan(s), s
     assert sizes == {4, 5, 6, 7}
+
+
+# windows W = F + m + a_e + 1 from dense to far sparser than 64 bits per
+# residue: W/m runs from 3.5 for <2, 3> to 2001 for <2, 2001>, and the last
+# three are sparse
+SPARSE = [(2, q) for q in range(3, 2002, 2)] + [(30, 1001), (100, 10001), (17, 10001, 20011)]
+
+
+def test_betti_routes_agree():
+    # the bit scan and the candidate scan, each run directly whatever the
+    # window, on every set the route choice could send to either of them
+    semigroups = [s for s in enumerate_semigroups(12) if s.embedding_dim >= 2]
+    semigroups += [
+        make_semigroup([a, b]) for a in range(2, 61) for b in range(a + 1, 61) if gcd(a, b) == 1
+    ]
+    semigroups += seeded_gluings()
+    semigroups += [make_semigroup(list(g)) for g in SPARSE]
+    for s in semigroups:
+        assert _betti_bits(s) == _betti_candidates(s), s
+    # genus <= 12 without N, coprime pairs, gluings, SPARSE
+    assert len(semigroups) == 1412 + 1042 + 100 + 1003
+
+
+def test_betti_routes_match_full_scan_on_sparse_windows():
+    # a two-generated <a, b> has the one Betti element ab; where it is
+    # cheap enough, betti_by_full_scan, which scans up to
+    # F + a_{e-1} + a_e >= max(Ap) + a_e, also pins that no Betti element
+    # lies past the bit route's window
+    for gens in SPARSE:
+        s = make_semigroup(list(gens))
+        expected = [gens[0] * gens[1]] if len(gens) == 2 else [50014, 80008, 80044]
+        assert _betti_bits(s) == expected, s
+    for gens in [(2, q) for q in range(3, 402, 2)] + [(30, 1001), (17, 10001, 20011)]:
+        s = make_semigroup(list(gens))
+        assert _betti_bits(s) == betti_by_full_scan(s), s
+
+
+def test_betti_route_choice_follows_window_density(monkeypatch):
+    # dense windows take the bit route and sparse ones the candidate route;
+    # the route not chosen is replaced by a trap, so the bit route never
+    # runs on a hostile window such as <1000, 1000001>, W about 10^9
+    def trap(s):
+        raise AssertionError(f"wrong Betti route for {s}")
+
+    dense = [seeded_gluings()[0], make_semigroup([96, 99, 165, 168, 240, 392])]
+    sparse = [make_semigroup([200, 201]), make_semigroup([1000, 1000001])]
+    assert all(_dense_window(s) for s in dense)
+    assert not any(_dense_window(s) for s in sparse)
+    expected = [betti_by_full_scan(s) for s in dense]
+    monkeypatch.setattr(presentations, "_betti_candidates", trap)
+    assert [betti_elements(s) for s in dense] == expected
+    monkeypatch.undo()
+    monkeypatch.setattr(presentations, "_betti_bits", trap)
+    assert [betti_elements(s) for s in sparse] == [[200 * 201], [1000 * 1000001]]
 
 
 def classes_agree_with_oracle(s, n):
