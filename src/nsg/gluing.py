@@ -4,8 +4,9 @@ A gluing combines semigroups S and S2 into mu*S + lambda*S2, where lambda is
 a non-generator element of S, mu is a non-generator element of S2, and
 gcd(lambda, mu) = 1.  The scaled generators stay jointly minimal, and the
 glued semigroup needs exactly one minimal relation beyond the scaled
-relations of the two sides; its degree, the extra degree d, is a multiple of
-lambda * mu and at least lambda * mu.  Consequences used throughout:
+relations of the two sides; its degree, the extra degree d, is exactly
+lambda * mu (Delorme, 1976; Rosales, Semigroup Forum 1997).  Consequences
+used throughout:
 
     degrees(glued) = mu * degrees(S)  +  lambda * degrees(S2)  +  {d}
     F(glued)       = d + mu * F(S) + lambda * F(S2)
@@ -17,7 +18,9 @@ intersections (Delorme, 1976).  ci_tree builds that recursive certificate and
 is_complete_intersection decides by it alone; the tests check the relation
 count against it.  Every complete intersection has multiplicity at least
 2^(e-1) for e generators, so ci_tree rejects the rest before it scans the
-2^(e-1) two-part splits of the generators.
+2^(e-1) two-part splits of the generators.  The relation degrees of a
+complete intersection are read off its tree by the first identity above;
+no presentation is built, and the tests compare the two.
 
 For complete intersections the a-invariant is sum(relation degrees) minus
 sum(generators), and it coincides with the Frobenius number.
@@ -25,7 +28,6 @@ sum(generators), and it coincides with the Frobenius number.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -40,7 +42,6 @@ from .errors import (
     NotCompleteIntersectionError,
     NotCoprimeError,
 )
-from .presentations import relation_degrees
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,36 @@ class CITree:
     split: GluingSplit | None
     left: CITree | None
     right: CITree | None
-    extra_degree: int | None
 
     @property
     def is_leaf(self) -> bool:
         return self.split is None
+
+    @property
+    def extra_degree(self) -> int | None:
+        """lam * mu of the root split; None for a leaf."""
+        return None if self.is_leaf else self.split.lam * self.split.mu
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """The relation degree multiset of the semigroup, ascending.
+
+        For S = mu*S1 + lam*S2 it is mu*degrees(S1) + lam*degrees(S2) +
+        {lam*mu}, and () for N.  Proof: scaling minimal presentations of S1
+        and S2 by mu and lam, and adding the one relation equating lam,
+        written in the generators of S1, with mu, written in those of S2,
+        presents S (Rosales, Semigroup Forum 1997); that relation has degree
+        lam*mu.  By induction both sides are complete intersections with
+        e1 - 1 and e2 - 1 relations, so this presentation has e - 1, the
+        fewest any presentation of an e-generated numerical semigroup can
+        have.  It is therefore minimal, and all minimal presentations share
+        one degree multiset.
+        """
+        if self.is_leaf:
+            return ()
+        mu, lam = self.split.mu, self.split.lam
+        scaled = [mu * d for d in self.left.degrees] + [lam * d for d in self.right.degrees]
+        return tuple(sorted(scaled + [lam * mu]))
 
     def to_text(self) -> str:
         if self.is_leaf:
@@ -188,30 +214,13 @@ def extra_degree(
 ) -> int:
     """The one relation degree of the gluing not inherited from the sides.
 
-    Computed by multiset subtraction from the actual minimal presentations,
-    never assumed equal to lam * mu; membership in lam*mu*N and the lower
-    bound lam*mu are checked afterwards.
+    It is lam * mu (proof at CITree.degrees).  glued must be the gluing
+    mu*left + lam*right: glue validates the arguments and rebuilds it, and a
+    different glued raises ConsistencyError.
     """
-    remaining = Counter(relation_degrees(glued))
-    inherited = [mu * d for d in relation_degrees(left)]
-    inherited += [lam * d for d in relation_degrees(right)]
-    for d in inherited:
-        if remaining[d] <= 0:
-            raise ConsistencyError(
-                f"degree {d} not inherited by {glued}: have {sorted(remaining.elements())}"
-            )
-        remaining[d] -= 1
-    leftover = sorted(remaining.elements())
-    if len(leftover) != 1:
-        raise ConsistencyError(
-            f"gluing {glued} left degrees {leftover}, expected exactly one"
-        )
-    extra = leftover[0]
-    if extra % (lam * mu) != 0 or extra < lam * mu:
-        raise ConsistencyError(
-            f"extra degree {extra} of {glued} is no multiple >= {lam * mu}"
-        )
-    return extra
+    if glue(left, right, lam, mu) != glued:
+        raise ConsistencyError(f"{glued} is not the gluing {mu}*{left} + {lam}*{right}")
+    return lam * mu
 
 
 @lru_cache(maxsize=4096)
@@ -230,7 +239,7 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     m = min(mu*m1, lam*m2) >= 2*m1*m2 >= 2 * 2^(e1-1) * 2^(e2-1) = 2^(e-1).
     """
     if semigroup.embedding_dim == 1:
-        return CITree(semigroup=semigroup, split=None, left=None, right=None, extra_degree=None)
+        return CITree(semigroup=semigroup, split=None, left=None, right=None)
     if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
         return None
     for split in find_gluings(semigroup):
@@ -240,12 +249,7 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
         right = ci_tree(split.right_quotient)
         if right is None:
             continue
-        d = extra_degree(
-            semigroup, split.left_quotient, split.right_quotient, split.lam, split.mu
-        )
-        return CITree(
-            semigroup=semigroup, split=split, left=left, right=right, extra_degree=d
-        )
+        return CITree(semigroup=semigroup, split=split, left=left, right=right)
     return None
 
 
@@ -254,8 +258,7 @@ def is_complete_intersection(semigroup: NumericalSemigroup) -> bool:
 
     Decided by the existence of a gluing tree alone, which by Delorme's
     characterization is equivalent to the minimal presentation having
-    exactly generators - 1 relations; a semigroup that is not a complete
-    intersection never has its own presentation built.
+    exactly generators - 1 relations; no presentation is built.
     """
     return ci_tree(semigroup) is not None
 
@@ -264,11 +267,13 @@ def a_invariant(semigroup: NumericalSemigroup) -> int:
     """sum(relation degrees) - sum(generators), for complete intersections.
 
     Equals the Frobenius number; callers comparing the two routes rely on
-    this function never consulting the Apery side.
+    this function never consulting the Apery side.  The degrees come from
+    the gluing tree.
     """
-    if not is_complete_intersection(semigroup):
+    tree = ci_tree(semigroup)
+    if tree is None:
         raise NotCompleteIntersectionError(f"{semigroup} is not a complete intersection")
-    return sum(relation_degrees(semigroup)) - sum(semigroup.generators)
+    return sum(tree.degrees) - sum(semigroup.generators)
 
 
 def three_gen_family(m1: int, m2: int, a: int, b: int, c: int) -> NumericalSemigroup:

@@ -28,15 +28,16 @@ _components on each of the at most m(e - 1) candidates w + a_i, which
 stays cheap where the bitsets would be huge, as for <1000, 1000001>.
 
 The relation count of a minimal presentation, compared with the number of
-generators, detects complete intersections; the multiset of relation degrees
-(the Betti element each relation lives at, with multiplicity) is the
-invariant the rest of the library consumes.
+generators, detects complete intersections.  The library decides those by
+their gluing trees and reads their relation degrees off the tree
+(nsg.gluing), so minimal_presentation and relation_degrees are the measured
+route: they serve `nsg presentation`, and the tests compare the tree
+degrees against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -316,7 +317,6 @@ def _betti_bits(semigroup: NumericalSemigroup) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=4096)
 def minimal_presentation(semigroup: NumericalSemigroup) -> Presentation:
     """A minimal presentation: per Betti element, a spanning set of relations.
 

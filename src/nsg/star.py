@@ -24,8 +24,7 @@ from math import gcd
 
 from .core import NumericalSemigroup
 from .errors import ConsistencyError, HypothesesNotMetError, InvalidPairError
-from .gluing import extra_degree, glue, is_complete_intersection
-from .presentations import relation_degrees
+from .gluing import ci_tree, glue
 
 
 class StarVerdict(str, Enum):
@@ -109,15 +108,17 @@ def star_report(semigroup: NumericalSemigroup) -> StarReport:
 
     Undefined for N and for non complete intersections; d_max and margin are
     then absent rather than computed from data the condition does not cover.
+    One ci_tree call decides CI, and d_max is read off the tree's degrees.
     """
-    if semigroup.embedding_dim == 1 or not is_complete_intersection(semigroup):
+    tree = None if semigroup.embedding_dim == 1 else ci_tree(semigroup)
+    if tree is None:
         return StarReport(
             frobenius=semigroup.frobenius,
             d_max=None,
             verdict=StarVerdict.UNDEFINED,
             margin=None,
         )
-    d_max = max(relation_degrees(semigroup))
+    d_max = max(tree.degrees)
     margin = 2 * semigroup.frobenius - d_max
     verdict = StarVerdict.SATISFIED if margin > 0 else StarVerdict.FAILED
     return StarReport(
@@ -210,14 +211,17 @@ def check_star_gluing(
         raise HypothesesNotMetError(
             f"no hypothesis branch covers gluing {left} with {right}"
         )
-    # both sides are complete intersections on every branch
-    d = extra_degree(glued, left, right, lam, mu)
+    # both sides are complete intersections on every branch, so glued is one
+    tree = ci_tree(glued)
+    if tree is None:
+        raise ConsistencyError(f"gluing {glued} of complete intersections has no CI tree")
+    d = lam * mu  # the extra degree (proof at CITree.degrees)
     frob = glued.frobenius
     if frob != d + mu * left.frobenius + lam * right.frobenius:
         raise ConsistencyError(
             f"F({glued}) = {frob} != {d} + {mu}*{left.frobenius} + {lam}*{right.frobenius}"
         )
-    checks = tuple((deg, 2 * frob > deg) for deg in relation_degrees(glued))
+    checks = tuple((deg, 2 * frob > deg) for deg in tree.degrees)
     return GluingStarReport(
         branch=branch,
         glued=glued,

@@ -3,13 +3,12 @@
 import dataclasses
 import io
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nsg.census
-import nsg.gluing
+import nsg.star
 from nsg import (
     BoundTooLargeError,
     CensusRecord,
@@ -170,18 +169,16 @@ def test_consistency_error_in_a_sweep_names_the_semigroup(monkeypatch):
 
 
 def test_one_ci_decision_per_census_record(monkeypatch):
-    # star_report decides CI and record_for reads it off the report; N needs
-    # no decision at all
-    real = nsg.gluing.is_complete_intersection
+    # star_report decides CI with one ci_tree call and record_for reads it
+    # off the report; N needs no decision at all
+    real = nsg.star.ci_tree
     calls = []
 
     def counted(semigroup):
         calls.append(semigroup.generators)
         return real(semigroup)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "nsg" and vars(module).get("is_complete_intersection") is real:
-            monkeypatch.setattr(module, "is_complete_intersection", counted)
+    monkeypatch.setattr(nsg.star, "ci_tree", counted)
     for s in enumerate_semigroups(8):
         before = len(calls)
         record_for(s)

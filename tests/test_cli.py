@@ -1,5 +1,7 @@
 """End-to-end checks of every subcommand, format, and exit code."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,11 @@ import pytest
 
 import nsg
 
-from nsg import enumerate_records, read_records, record_to_doc
+from nsg import enumerate_records, read_records, record_to_doc, write_records
 from nsg.census import ENV_WORK_CEILING
 from nsg.cli import run
+
+from test_acceptance import NDJSON_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,74 @@ def test_hypotheses(capsys):
     doc = json.loads(out)
     assert doc["branch"] == "star_condition"
     assert doc["holds"] is True
+
+
+# lambda near 10^12: enumerating the fiber of the extra degree 2*lambda of
+# <4, 6, lambda> would take about 10^11 factorizations
+HUGE = 10**12 + 1
+
+
+def test_ci_commands_build_no_presentation(capsys, monkeypatch):
+    # every nsg name for minimal_presentation is a trap, so a command that
+    # builds a presentation fails instead of hanging
+    real = nsg.presentations.minimal_presentation
+
+    def trap(semigroup):
+        raise AssertionError(f"presentation built for {semigroup}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nsg" and vars(module).get("minimal_presentation") is real:
+            monkeypatch.setattr(module, "minimal_presentation", trap)
+    with pytest.raises(AssertionError, match="presentation built"):
+        run(["presentation", "2,3"])
+
+    gluing = ["2,3", "1", "--lambda", str(HUGE), "--mu", "2"]
+    glued = f"4,6,{HUGE}"
+
+    def json_of(*argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        return json.loads(out)
+
+    assert json_of("glue", *gluing) == {
+        "generators": [4, 6, HUGE], "frobenius": HUGE + 2, "extra_degree": 2 * HUGE,
+        "mu": 2, "lambda": HUGE, "left_frobenius": 1, "right_frobenius": -1,
+        "identity_holds": True,
+    }
+    assert json_of("ci-tree", glued)["tree"] == {
+        "leaf": False, "generators": [4, 6, HUGE], "mu": 2, "lambda": HUGE,
+        "extra_degree": 2 * HUGE,
+        "left": {
+            "leaf": False, "generators": [2, 3], "mu": 2, "lambda": 3, "extra_degree": 6,
+            "left": {"leaf": True, "generators": [1]},
+            "right": {"leaf": True, "generators": [1]},
+        },
+        "right": {"leaf": True, "generators": [1]},
+    }
+    assert json_of("star", glued) == {
+        "generators": [4, 6, HUGE], "frobenius": HUGE + 2, "d_max": 2 * HUGE,
+        "margin": 4, "star_verdict": "satisfied",
+    }
+    assert json_of("classify", glued) == {"generators": [4, 6, HUGE], "exception": "satisfies"}
+    assert json_of("hypotheses", glued) == {
+        "generators": [4, 6, HUGE], "embedding_dim": 3, "is_ci": True,
+        "star_verdict": "satisfied", "branch": "star_condition", "holds": True,
+    }
+    # <2, 3> fails star, so no branch covers this gluing
+    assert run_cli(capsys, "inductive", *gluing) == (
+        1, "", "error: no hypothesis branch covers gluing <2,3> with <1>\n"
+    )
+    assert json_of("inductive", "4,6,9", "1", "--lambda", str(HUGE), "--mu", "2") == {
+        "branch": "star_with_small_partner", "generators": [8, 12, 18, HUGE],
+        "frobenius": HUGE + 22, "extra_degree": 2 * HUGE,
+        "degree_checks": [[24, True], [36, True], [2 * HUGE, True]], "passed": True,
+    }
+
+    # the census: every record of genus <= 12, byte for byte
+    buffer = io.StringIO()
+    write_records(enumerate_records(12), buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    assert digest == NDJSON_SHA256[12]
 
 
 def test_enumerate_json_lines(capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from nsg import (
+    ConsistencyError,
     FamilyConstraintError,
     LambdaNotEligibleError,
     MuNotEligibleError,
@@ -34,6 +35,9 @@ def test_glue_golden_two_copies_of_two_three():
     assert glued.frobenius == 29
     assert extra_degree(glued, left, right, 4, 5) == 20
     assert relation_degrees(glued) == (20, 24, 30)
+    # the extra degree belongs to one gluing; another semigroup is refused
+    with pytest.raises(ConsistencyError, match="is not the gluing"):
+        extra_degree(make_semigroup([4, 6, 9]), left, right, 4, 5)
 
 
 def test_glue_golden_with_naturals():
@@ -124,6 +128,7 @@ def test_ci_tree_leaf_and_absence():
     leaf = ci_tree(make_semigroup([1]))
     assert leaf.is_leaf
     assert leaf.to_text() == "N"
+    assert (leaf.extra_degree, leaf.degrees) == (None, ())
     assert ci_tree(make_semigroup([3, 5, 7])) is None
 
 

@@ -276,6 +276,25 @@ def seeded_gluings():
     ]
 
 
+def test_ci_tree_degrees_match_presentation_degrees():
+    # CITree.degrees, read off the gluing tree by theorem, against the
+    # measured relation degrees of a minimal presentation
+    semigroups = [s for s in enumerate_semigroups(15) if ci_tree(s) is not None]
+    semigroups += [
+        make_semigroup([a, b]) for a in range(2, 61) for b in range(a + 1, 61) if gcd(a, b) == 1
+    ]
+    semigroups += [s for s in seeded_gluings() if ci_tree(s) is not None]
+    semigroups += [
+        make_semigroup([48, 60, 72, 80, 126, 315]),
+        make_semigroup([110, 120, 176, 180, 210, 264, 495]),
+    ]
+    for s in semigroups:
+        assert ci_tree(s).degrees == minimal_presentation(s).degrees, s
+    # CIs of genus <= 15 (N included), coprime pairs, CI gluings, the two
+    # large trees
+    assert len(semigroups) == 87 + 1042 + 28 + 2
+
+
 def test_betti_candidates_match_full_scan_on_gluings():
     sizes = set()
     for s in seeded_gluings():
