@@ -438,8 +438,10 @@ def _read_from(handle) -> Iterator[CensusRecord]:
         text = line.strip()
         if not text:
             continue
+        # ValueError covers JSONDecodeError and integer literals over the
+        # interpreter's digit limit; RecursionError, arrays nested too deep
         try:
             record = _record_from_doc(json.loads(text))
-        except (json.JSONDecodeError, MalformedRecordError) as err:
+        except (ValueError, RecursionError, MalformedRecordError) as err:
             raise MalformedRecordError(f"line {line_no}: {err}") from None
         yield record

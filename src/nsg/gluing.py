@@ -16,9 +16,11 @@ has (number of generators - 1) relations, and equivalently (apart from N
 itself, which is trivially one) when it is a gluing of two smaller complete
 intersections (Delorme, 1976).  ci_tree builds that recursive certificate and
 is_complete_intersection decides by it alone; the tests check the relation
-count against it.  Every complete intersection has multiplicity at least
-2^(e-1) for e generators, so ci_tree rejects the rest before it scans the
-2^(e-1) two-part splits of the generators.  The relation degrees of a
+count against it.  The first gluing split of a semigroup decides: its
+quotients are complete intersections exactly when the semigroup is one, by
+the relation count of the gluing (proof at ci_tree).  Every complete
+intersection has multiplicity at least 2^(e-1) for e generators, so ci_tree
+rejects the rest before it looks for a split.  The relation degrees of a
 complete intersection are read off its tree by the first identity above;
 no presentation is built, and the tests compare the two.
 
@@ -28,6 +30,7 @@ sum(generators), and it coincides with the Frobenius number.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -160,16 +163,9 @@ def glue(
     return glued
 
 
-def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
-    """Every split of the minimal generators realizing the semigroup as a gluing.
-
-    Each two-part partition is inspected once, with the part containing the
-    smallest generator on the left; results are ordered by size then content
-    of the left part.  A split qualifies when both gcds are >= 2 and the
-    cross-wise eligibility of lam and mu holds.
-    """
+def _splits(semigroup: NumericalSemigroup) -> Iterator[GluingSplit]:
+    """The gluing splits of the semigroup, lazily, in find_gluings order."""
     gens = semigroup.generators
-    splits = []
     # combinations come in lexicographic order of the sorted generators, so
     # the splits are already ordered by size then content of the left part
     for k in range(len(gens) - 1):
@@ -180,20 +176,16 @@ def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
             lam = gcd(*right_part)
             if mu < 2 or lam < 2 or gcd(mu, lam) != 1:
                 continue
+            # the quotient generators a/mu stay minimal, or a would be a sum of
+            # other generators of the semigroup; likewise b/lam.  So e1 + e2 = e,
+            # which the proofs at ci_tree and CITree.degrees use
             left_quotient = make_semigroup([a // mu for a in left_part])
             right_quotient = make_semigroup([b // lam for b in right_part])
-            # scaled-up minimality forces the quotient generators to be minimal too
-            if left_quotient.generators != tuple(a // mu for a in left_part):
-                raise ConsistencyError(f"non-minimal left quotient for {list(left_part)}")
-            if right_quotient.generators != tuple(b // lam for b in right_part):
-                raise ConsistencyError(f"non-minimal right quotient for {list(right_part)}")
-            if not (
+            if (
                 _non_generator_element(left_quotient, lam)
                 and _non_generator_element(right_quotient, mu)
             ):
-                continue
-            splits.append(
-                GluingSplit(
+                yield GluingSplit(
                     left_part=left_part,
                     right_part=right_part,
                     mu=mu,
@@ -201,8 +193,17 @@ def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
                     left_quotient=left_quotient,
                     right_quotient=right_quotient,
                 )
-            )
-    return splits
+
+
+def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
+    """Every split of the minimal generators realizing the semigroup as a gluing.
+
+    Each two-part partition is inspected once, with the part containing the
+    smallest generator on the left; results are ordered by size then content
+    of the left part.  A split qualifies when both gcds are >= 2 and the
+    cross-wise eligibility of lam and mu holds.
+    """
+    return list(_splits(semigroup))
 
 
 def extra_degree(
@@ -227,13 +228,24 @@ def extra_degree(
 def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     """A recursive gluing certificate, or None when none exists.
 
-    Splits are tried in the canonical find_gluings order and the first one
-    whose two quotients decompose recursively wins; any valid tree certifies
-    the same fact, so the choice only pins down determinism.
+    The first split in find_gluings order decides: the tree glues the trees
+    of its two quotients, and if either quotient has none, neither does the
+    semigroup.  No other split is built or tried.  Proof: for a split
+    S = mu*S1 + lam*S2 with e1 + e2 = e generators, the scaled minimal
+    presentations of S1 and S2 plus one relation form a minimal presentation
+    of S (Rosales, Semigroup Forum 1997), so S needs r1 + r2 + 1 relations
+    when S1 and S2 need r1 and r2.  Every presentation of an e-generated
+    numerical semigroup has at least e - 1 relations, so r1 >= e1 - 1 and
+    r2 >= e2 - 1, and r1 + r2 + 1 = e - 1 = (e1 - 1) + (e2 - 1) + 1 holds
+    exactly when both sides are complete intersections.  A complete
+    intersection other than N is a gluing (Delorme, 1976), so a semigroup
+    without splits is none.  By induction on e, ci_tree returns a tree
+    exactly for complete intersections, and the tree is the one a search
+    over all splits would find first.
 
     A semigroup with a tree has multiplicity m >= 2^(e-1), so one below that
-    returns None without scanning the 2^(e-1) splits.  Proof by induction on
-    the tree: a leaf has m = 1 = 2^0.  At a split S = mu*S1 + lam*S2 with
+    returns None without looking for a split.  Proof by induction on the
+    tree: a leaf has m = 1 = 2^0.  At a split S = mu*S1 + lam*S2 with
     e1 + e2 = e generators, lam is a non-generator element of S1, hence a
     sum of two nonzero elements and lam >= 2*m1; likewise mu >= 2*m2.  So
     m = min(mu*m1, lam*m2) >= 2*m1*m2 >= 2 * 2^(e1-1) * 2^(e2-1) = 2^(e-1).
@@ -242,15 +254,16 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
         return CITree(semigroup=semigroup, split=None, left=None, right=None)
     if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
         return None
-    for split in find_gluings(semigroup):
-        left = ci_tree(split.left_quotient)
-        if left is None:
-            continue
-        right = ci_tree(split.right_quotient)
-        if right is None:
-            continue
-        return CITree(semigroup=semigroup, split=split, left=left, right=right)
-    return None
+    split = next(_splits(semigroup), None)
+    if split is None:
+        return None
+    left = ci_tree(split.left_quotient)
+    if left is None:
+        return None
+    right = ci_tree(split.right_quotient)
+    if right is None:
+        return None
+    return CITree(semigroup=semigroup, split=split, left=left, right=right)
 
 
 def is_complete_intersection(semigroup: NumericalSemigroup) -> bool:

@@ -217,10 +217,6 @@ def check_star_gluing(
         raise ConsistencyError(f"gluing {glued} of complete intersections has no CI tree")
     d = lam * mu  # the extra degree (proof at CITree.degrees)
     frob = glued.frobenius
-    if frob != d + mu * left.frobenius + lam * right.frobenius:
-        raise ConsistencyError(
-            f"F({glued}) = {frob} != {d} + {mu}*{left.frobenius} + {lam}*{right.frobenius}"
-        )
     checks = tuple((deg, 2 * frob > deg) for deg in tree.degrees)
     return GluingStarReport(
         branch=branch,

@@ -216,6 +216,11 @@ def test_malformed_records_name_the_line():
         list(read_records(io.StringIO('{"generators": [2, 3]}\n')))
     with pytest.raises(MalformedRecordError, match="line 1"):
         list(read_records(io.StringIO("[1, 2, 3]\n")))
+    # an integer literal past the interpreter's digit limit, and arrays
+    # nested past the recursion limit; the messages vary by Python version
+    for hostile in ['{"genus": ' + "9" * 5000 + "}", "[" * 100_000]:
+        with pytest.raises(MalformedRecordError, match="^line 1: "):
+            list(read_records(io.StringIO(hostile + "\n")))
     bad_verdict = good.replace('"failed"', '"maybe"')
     with pytest.raises(MalformedRecordError, match="line 2"):
         list(read_records(io.StringIO(good + "\n" + bad_verdict + "\n")))

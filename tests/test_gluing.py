@@ -23,6 +23,7 @@ from nsg import (
     relation_degrees,
     three_gen_family,
 )
+from nsg.core import _build
 
 from oracles import naive_frobenius
 
@@ -122,6 +123,20 @@ def test_ci_tree_golden():
     assert record["generators"] == [8, 10, 12, 15]
     assert record["left"]["generators"] == [2, 3]
     assert record["left"]["left"] == {"leaf": True, "generators": [1]}
+
+
+def test_ci_tree_builds_only_the_first_split():
+    # with both caches cold, ci_tree builds the quotients of the splits up
+    # to the first one at each node of the tree, and none after it
+    for gens, builds in [
+        ([110, 120, 176, 180, 210, 264, 495], 19),
+        ([48, 60, 72, 80, 126, 315], 25),
+    ]:
+        s = make_semigroup(gens)
+        _build.cache_clear()
+        ci_tree.cache_clear()
+        assert ci_tree(s) is not None
+        assert _build.cache_info().misses == builds, gens
 
 
 def test_ci_tree_leaf_and_absence():

@@ -2,18 +2,21 @@
 
 import hashlib
 import random
+from functools import cache
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nsg import (
+    CITree,
     Factorization,
     NegativeElementError,
     betti_elements,
     ci_tree,
     enumerate_semigroups,
     factorizations,
+    find_gluings,
     glue,
     make_semigroup,
     minimal_presentation,
@@ -293,6 +296,52 @@ def test_ci_tree_degrees_match_presentation_degrees():
     # CIs of genus <= 15 (N included), coprime pairs, CI gluings, the two
     # large trees
     assert len(semigroups) == 87 + 1042 + 28 + 2
+
+
+def test_first_gluing_split_decides_complete_intersection():
+    # ci_tree takes only the first split, by the relation count of a gluing
+    # (proof at ci_tree); here every split of every semigroup is checked
+    # against it, and ci_tree against a backtracking search over all splits
+    splits = cache(find_gluings)
+
+    @cache
+    def search(s):
+        if s.embedding_dim == 1:
+            return CITree(semigroup=s, split=None, left=None, right=None)
+        for split in splits(s):
+            left = search(split.left_quotient)
+            right = None if left is None else search(split.right_quotient)
+            if right is not None:
+                return CITree(semigroup=s, split=split, left=left, right=right)
+        return None
+
+    semigroups = list(enumerate_semigroups(15)) + seeded_gluings()
+    semigroups += [
+        make_semigroup([48, 60, 72, 80, 126, 315]),
+        make_semigroup([110, 120, 176, 180, 210, 264, 495]),
+    ]
+    split_count = several = non_ci_with_split = 0
+    for s in semigroups:
+        tree = ci_tree(s)
+        assert tree == search(s), s
+        for split in splits(s):
+            # the quotient generators are the scaled-down parts, all minimal
+            assert split.left_quotient.generators == tuple(a // split.mu for a in split.left_part)
+            assert split.right_quotient.generators == tuple(
+                b // split.lam for b in split.right_part
+            )
+            both_ci = (
+                ci_tree(split.left_quotient) is not None
+                and ci_tree(split.right_quotient) is not None
+            )
+            assert both_ci == (tree is not None), (s, split)
+        if tree is not None and not tree.is_leaf:
+            assert tree.split == splits(s)[0], s
+        if tree is None and splits(s):
+            non_ci_with_split += 1
+        split_count += len(splits(s))
+        several += len(splits(s)) > 1
+    assert (split_count, several, non_ci_with_split) == (312, 61, 118)
 
 
 def test_betti_candidates_match_full_scan_on_gluings():

@@ -114,22 +114,30 @@ def test_small_exceptions_sweep_matches_star_margin():
             assert record.is_exception == pattern
 
 
+# each branch test also checks F = d + mu*F(left) + lam*F(right), which
+# check_star_gluing reports without re-checking it
+
+
 def test_check_star_gluing_small_partner_branch():
-    report = check_star_gluing(make_semigroup([3, 7]), make_semigroup([1]), 10, 3)
+    left, right = make_semigroup([3, 7]), make_semigroup([1])
+    report = check_star_gluing(left, right, 10, 3)
     assert report.branch is GluingBranch.STAR_WITH_SMALL_PARTNER
     assert report.glued.generators == (9, 10, 21)
     assert report.frobenius == 53
     assert report.extra_degree == 30
     assert report.degree_checks == ((30, True), (63, True))
+    assert report.frobenius == report.extra_degree + 3 * left.frobenius + 10 * right.frobenius
     assert report.passed
 
 
 def test_check_star_gluing_both_two_generated_branch():
-    report = check_star_gluing(make_semigroup([2, 3]), make_semigroup([2, 3]), 4, 5)
+    s = make_semigroup([2, 3])
+    report = check_star_gluing(s, s, 4, 5)
     assert report.branch is GluingBranch.BOTH_TWO_GENERATED
     assert report.glued.generators == (8, 10, 12, 15)
     assert report.frobenius == 29
     assert report.extra_degree == 20
+    assert report.frobenius == report.extra_degree + 5 * s.frobenius + 4 * s.frobenius
     assert report.passed
 
 
@@ -138,7 +146,7 @@ def test_check_star_gluing_star_partner_branch():
     report = check_star_gluing(s, s, 8, 13)
     assert report.branch is GluingBranch.STAR_WITH_STAR_PARTNER
     assert report.passed
-    assert report.frobenius == report.extra_degree + 13 * 11 + 8 * 11
+    assert report.frobenius == report.extra_degree + 13 * s.frobenius + 8 * s.frobenius
 
 
 def test_check_star_gluing_rejects_uncovered_inputs():
