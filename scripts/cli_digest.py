@@ -1,0 +1,62 @@
+"""Exit code and stdout sha256 of a fixed list of nsg commands, one line each.
+
+    PYTHONPATH=src python3 scripts/cli_digest.py
+
+Each line reads "<exit code> <sha256 of stdout> <command>".  The commands
+run in this process through nsg.cli.run, against whichever nsg the import
+finds first; its location goes to stderr.  Two checkouts print the same
+lines exactly when these commands give byte-identical stdout and equal exit
+codes, so comparing them is one diff:
+
+    diff <(PYTHONPATH=../other/src python3 scripts/cli_digest.py) \\
+         <(PYTHONPATH=src python3 scripts/cli_digest.py)
+
+The list is the benchmark's large-single ladder of eight commands plus
+info 4,6,9, each in json and in text.  It is fixed here, so that digests
+taken at different commits stay comparable.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stdout
+
+import nsg
+from nsg.cli import run
+
+COMMANDS = (
+    ("info", "500,999"),
+    ("info", "1000,1999"),
+    ("presentation", "200,201"),
+    ("star", "300,301"),
+    ("classify", "400,401"),
+    ("ci-tree", "48,60,72,80,126,315"),
+    ("ci-tree", "110,120,176,180,210,264,495"),
+    ("presentation", "96,99,165,168,240,392"),
+    ("info", "4,6,9"),
+)
+FORMATS = ("json", "text")
+
+
+def digest(argv: list[str]) -> tuple[int, str]:
+    """Exit code and sha256 of the UTF-8 stdout of `nsg argv`."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = run(argv)
+    return code, hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    print(f"nsg from {nsg.__file__}", file=sys.stderr)
+    for command, generators in COMMANDS:
+        for fmt in FORMATS:
+            argv = [command, generators, "--format", fmt]
+            code, sha = digest(argv)
+            print(f"{code} {sha} {' '.join(argv)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -425,11 +425,18 @@ def read_records(source) -> Iterator[CensusRecord]:
     Raises MalformedRecordError naming the offending line on bad input,
     including records that describe no semigroup and records whose CI flag,
     tag and verdict contradict each other; blank lines are ignored.
+
+    A path is decoded with errors="surrogateescape", so bytes that are not
+    UTF-8 reach json.loads as lone surrogates on their own line instead of
+    failing the decode of a whole read-ahead chunk.  Outside a JSON string
+    they make the line invalid JSON.  Inside one they are rejected where the
+    reader reads the string (no enum tag holds them, no other field is a
+    string) and pass only in an object member it does not read.
     """
     if hasattr(source, "read"):
         yield from _read_from(source)
     else:
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             yield from _read_from(handle)
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .census import enumerate_records, summarize, write_records
-from .core import gaps, make_semigroup, parse_generators
+from .core import gap_text, make_semigroup, parse_generators
 from .errors import NsgError
 from .gluing import ci_tree, extra_degree, glue
 from .presentations import minimal_presentation
@@ -54,37 +54,55 @@ def _emit(args, doc: dict, rows) -> None:
     if args.format == "json":
         print(json.dumps(doc))
         return
-    pairs = rows()
+    _print_rows(rows())
+
+
+def _print_rows(pairs) -> None:
     width = max(len(label) for label, _ in pairs)
     for label, value in pairs:
         print(f"{label + ':':<{width + 2}}{str(value).strip()}")
 
 
 def _cmd_info(args) -> int:
+    """Print the semigroup's invariants, with its gaps written by gap_text.
+
+    The JSON line equals json.dumps(doc) for doc = head with "gaps" and
+    "apery" appended, in that order.  With the default separators
+    json.dumps writes a dict as "{" + ", ".join(key + ": " + value) + "}",
+    so the non-empty head's text minus its closing brace, then
+    ', "gaps": ' + list text, then ', "apery": ' + dict text and "}", is
+    the text of the whole doc.  json.dumps writes a list of ints as "[",
+    their str joined by ", ", "]", which is "[" + gap_text(s, ", ") + "]"
+    ("[]" for none).  The line is printed in three pieces, so the gap text,
+    tens of MB for a large semigroup, is not copied into a concatenation.
+    """
     s = make_semigroup(args.generators)
-    gap_list = gaps(s)
     apery = s.apery.as_dict()
-    doc = {
-        "generators": list(s.generators),
-        "multiplicity": s.multiplicity,
-        "embedding_dim": s.embedding_dim,
-        "frobenius": s.frobenius,
-        "genus": s.genus,
-        "gaps": gap_list,
-        "apery": {str(r): w for r, w in apery.items()},
-    }
-    _emit(
-        args,
-        doc,
-        lambda: [
+    if args.format == "json":
+        head = {
+            "generators": list(s.generators),
+            "multiplicity": s.multiplicity,
+            "embedding_dim": s.embedding_dim,
+            "frobenius": s.frobenius,
+            "genus": s.genus,
+        }
+        print(
+            json.dumps(head)[:-1] + ', "gaps": [',
+            gap_text(s, ", "),
+            '], "apery": ' + json.dumps({str(r): w for r, w in apery.items()}) + "}",
+            sep="",
+        )
+        return 0
+    _print_rows(
+        [
             ("generators", _csv(s.generators)),
             ("multiplicity", s.multiplicity),
             ("embedding_dim", s.embedding_dim),
             ("frobenius", s.frobenius),
             ("genus", s.genus),
-            ("gaps", _csv(gap_list) or "none"),
+            ("gaps", gap_text(s, ",") or "none"),
             (f"apery mod {s.multiplicity}", " ".join(f"{r}:{w}" for r, w in apery.items())),
-        ],
+        ]
     )
     return 0
 

@@ -13,7 +13,13 @@ core quantities read off it:
 
     F(S)   = max(entries) - m
     genus  = sum((entry(r) - r) // m for each residue r)
-    gaps   = r, r + m, ..., below entry(r), for each residue r
+    gaps   = the positions n <= F of a byte mask that is 1 at r, r + m, ...,
+             below entry(r), for each residue r
+
+The mask costs F + 1 bytes and one strided slice assignment per residue,
+with no int object per gap.  gaps() reads the list off it with compress;
+gap_text() writes the decimal text straight from it, a thousand numbers per
+join, for output that lists every gap (`nsg info`).
 
 Tables are built by the Böcker–Lipták round robin (Algorithmica 2007), one
 walk around the residue cycles per generator, O(e * m) in all.  One pass
@@ -30,7 +36,8 @@ donor as a quotient, pay for one construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import compress
 from math import gcd
 
 from .errors import ConsistencyError, EmptyInputError, NotAnElementError, NotCoprimeError
@@ -182,15 +189,54 @@ def frobenius(semigroup: NumericalSemigroup) -> int:
     return semigroup.frobenius
 
 
+def _gap_mask(semigroup: NumericalSemigroup) -> bytearray:
+    """F + 1 bytes, mask[n] == 1 exactly when n is a gap.
+
+    Class r holds the gaps r, r + m, ..., entry(r) - m, (entry(r) - r) // m
+    of them since entry(r) = r (mod m), all at most max(entries) - m = F;
+    so each slice r:entry(r):m of the mask has exactly that many places.
+    """
+    m = semigroup.multiplicity
+    mask = bytearray(semigroup.frobenius + 1)
+    for r, w in enumerate(semigroup.apery.entries):
+        mask[r:w:m] = b"\x01" * ((w - r) // m)
+    return mask
+
+
 def gaps(semigroup: NumericalSemigroup) -> list[int]:
     """All positive integers outside the semigroup, ascending."""
-    m = semigroup.multiplicity
-    out: list[int] = []
-    # class r holds the gaps r, r + m, ... below its Apery entry
-    for r, w in enumerate(semigroup.apery.entries):
-        out.extend(range(r, w, m))
-    out.sort()
-    return out
+    mask = _gap_mask(semigroup)
+    return list(compress(range(len(mask)), mask))
+
+
+@cache
+def _decimal_tables() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """str(i) and str(i) zero-padded to three digits, for 0 <= i < 1000."""
+    return tuple(map(str, range(1000))), tuple(f"{i:03d}" for i in range(1000))
+
+
+def gap_text(semigroup: NumericalSemigroup, sep: str) -> str:
+    """sep.join(str(n) for n in gaps(semigroup)), written from the gap mask.
+
+    The mask is cut into chunks of 1000.  Chunk 0 holds the gaps 0 <= i <
+    1000, written as str(i).  For q >= 1 and 0 <= i < 1000,
+    1000q + i = q * 10**3 + i with i below 10**3 and q >= 1 carrying no
+    leading zero, so str(1000q + i) == str(q) + f"{i:03d}"; the gaps of
+    chunk q therefore read str(q) + PAD[i1] + sep + str(q) + PAD[i2] ...,
+    which is str(q) + (sep + str(q)).join(PAD[i] for each gap offset i).
+    compress keeps the offsets ascending and the chunks go in order, so the
+    text lists the gaps ascending, as gaps() does.  A chunk with no gap
+    adds nothing, and N (F = -1, an empty mask) gives "".
+    """
+    low, pad = _decimal_tables()
+    mask = _gap_mask(semigroup)
+    parts = [sep.join(compress(low, mask[:1000]))] if mask else []
+    for start in range(1000, len(mask), 1000):
+        chunk = mask[start : start + 1000]
+        if 1 in chunk:
+            head = str(start // 1000)
+            parts.append(head + (sep + head).join(compress(pad, chunk)))
+    return sep.join(parts)
 
 
 def parse_generators(text: str) -> list[int]:

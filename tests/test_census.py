@@ -192,6 +192,25 @@ def test_round_trip_through_file(tmp_path):
     assert list(read_records(path)) == records
 
 
+def test_bytes_that_are_not_utf8_name_the_line(tmp_path):
+    # a path is decoded in read-ahead chunks, so a strict decode would fail
+    # before line 1 is parsed and without naming any line
+    good = _line(enumerate_records(1)[1]).encode("utf-8")
+    path = tmp_path / "census.ndjson"
+    path.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(MalformedRecordError, match="^line 1: "):
+        list(read_records(path))
+    for bad, reason in [
+        (b"\xff\xfe{}\n", "Expecting value"),
+        (good.replace(b'"failed"', b'"fail\xffed"'), "is not a valid StarVerdict"),
+    ]:
+        path.write_bytes(good + bad)
+        records = read_records(path)
+        assert next(records) == enumerate_records(1)[1]
+        with pytest.raises(MalformedRecordError, match=f"^line 2: .*{reason}"):
+            next(records)
+
+
 def test_round_trip_through_file_objects():
     records = enumerate_records(3)
     buffer = io.StringIO()

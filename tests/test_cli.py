@@ -42,6 +42,44 @@ def test_info_json(capsys):
     assert doc["apery"] == {"0": 0, "1": 9, "2": 6, "3": 15}
 
 
+# sha256 of the stdout of `nsg info GENS --format FMT`, taken from the
+# version that built and sorted the whole gap list before printing it
+INFO_SHA256 = {
+    ("500,999", "json"): "5c259f986d8d7ccd492e9c907e46bde06c47a3d44a725d8497e902c954f39940",
+    ("500,999", "text"): "1bc3348e67a86c249a050ff19c7e114454410c2cb0e8ecb28243f2d4dd34a57c",
+    ("1000,1999", "json"): "5052b2df12d944700466179e4acf4451e41f464e893af94f8a6853f6a72e0d64",
+    ("1000,1999", "text"): "ef02cf38846876821b1a560a12d3f03054ddd64b916398ff0ccc513d4d8676cd",
+}
+
+
+def info_digest(capsys, generators, fmt):
+    code, out, err = run_cli(capsys, "info", generators, "--format", fmt)
+    assert (code, err) == (0, "")
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("generators, fmt", sorted(INFO_SHA256))
+def test_large_info_output_is_pinned(capsys, generators, fmt):
+    assert info_digest(capsys, generators, fmt) == INFO_SHA256[generators, fmt]
+
+
+def test_info_never_builds_the_gap_list(capsys, monkeypatch):
+    # every nsg name for gaps is a trap, so `info` cannot go back to
+    # building and formatting one int per gap
+    real = nsg.core.gaps
+
+    def trap(semigroup):
+        raise AssertionError(f"gap list built for {semigroup}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nsg" and vars(module).get("gaps") is real:
+            monkeypatch.setattr(module, "gaps", trap)
+    with pytest.raises(AssertionError, match="gap list built"):
+        nsg.core.gaps(nsg.make_semigroup([2, 3]))
+    for fmt in ("json", "text"):
+        assert info_digest(capsys, "1000,1999", fmt) == INFO_SHA256["1000,1999", fmt]
+
+
 def test_presentation_json(capsys):
     code, out, _ = run_cli(capsys, "presentation", "4,6,9", "--format", "json")
     assert code == 0

@@ -16,6 +16,7 @@ from nsg import (
     contains,
     enumerate_semigroups,
     frobenius,
+    gap_text,
     gaps,
     glue,
     make_semigroup,
@@ -173,6 +174,7 @@ def test_invariants_match_naive_reachability(gens):
     assert s.frobenius == naive_frobenius(gens)
     assert s.genus == naive_genus(gens)
     assert gaps(s) == naive_gaps(gens)
+    assert gap_text(s, ", ") == ", ".join(map(str, naive_gaps(gens)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,6 +248,45 @@ def test_apery_tables_match_reachability_for_every_small_element():
                 pairs += 1
                 assert list(apery_set(s, n).entries) == naive_apery(s.generators, n), (s, n)
     assert pairs == 6049
+
+
+def _check_gaps_against_reachability(gens):
+    s = make_semigroup(gens)
+    expected = naive_gaps(gens)
+    assert gaps(s) == expected, gens
+    for sep in (", ", ","):
+        assert gap_text(s, sep) == sep.join(map(str, expected)), (gens, sep)
+    return expected
+
+
+def test_gaps_and_gap_text_match_reachability_through_genus_12():
+    # the generators come from the census walk; the expected gaps only from
+    # the oracle, and the count is A007323 summed over genus 0..12
+    count = 0
+    for s in enumerate_semigroups(12):
+        _check_gaps_against_reachability(s.generators)
+        count += 1
+    assert count == 1413
+
+
+@pytest.mark.parametrize(
+    "gens, frobenius_number, last_gaps",
+    [
+        ((1,), -1, []),
+        ((2, 3), 1, [1]),
+        ((2, 1001), 999, [997, 999]),  # every gap in chunk 0
+        ((3, 503, 1003), 1000, [997, 1000]),  # F the first place of chunk 1
+        ((2, 1003), 1001, [999, 1001]),
+        ((37, 1000, 1999), 35963, [35926, 35963]),
+        # chunks 21, 32, 34, ..., 40, 42 and 43 hold no gap, and later ones do
+        (tuple(range(2100, 2201)), 44099, [44098, 44099]),
+        ((3, 500003, 1000003), 10**6, [999997, 10**6]),  # 1000q + 0, q = 1000
+    ],
+)
+def test_gap_text_across_chunk_boundaries(gens, frobenius_number, last_gaps):
+    expected = _check_gaps_against_reachability(gens)
+    assert make_semigroup(gens).frobenius == frobenius_number
+    assert expected[-2:] == last_gaps
 
 
 @settings(max_examples=100, deadline=None)

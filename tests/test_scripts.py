@@ -1,4 +1,4 @@
-"""Command-line handling of scripts/run_verification.py."""
+"""Command-line handling of scripts/run_verification.py, and scripts/cli_digest.py."""
 
 import importlib.util
 from pathlib import Path
@@ -7,7 +7,10 @@ import pytest
 
 from nsg.census import DEFAULT_WORK_CEILING, ENV_WORK_CEILING
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+from test_cli import INFO_SHA256
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "run_verification.py"
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +67,22 @@ def test_small_sweep_succeeds(run_verification, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "wrote 8 records" in captured.out
     assert captured.err == ""
+
+
+def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
+    spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main() == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nsg from ")
+    lines = captured.out.splitlines()
+    assert len(lines) == 18
+    digests = {}
+    for line in lines:
+        code, sha, command, generators, flag, fmt = line.split(" ")
+        assert (code, flag) == ("0", "--format") and len(sha) == 64
+        digests[command, generators, fmt] = sha
+    assert len(digests) == 18
+    for (generators, fmt), sha in INFO_SHA256.items():
+        assert digests["info", generators, fmt] == sha
