@@ -12,8 +12,10 @@ codes, so comparing them is one diff:
          <(PYTHONPATH=src python3 scripts/cli_digest.py)
 
 The list is the benchmark's large-single ladder of eight commands plus
-info 4,6,9, each in json and in text.  It is fixed here, so that digests
-taken at different commits stay comparable.
+info 4,6,9, info 2,2001 and info 101,1000,5000, each in json and in text.
+The ladder's two info inputs have long gap runs and the last two short
+ones, so both of gap_chunks's routes are covered.  The list is fixed here,
+so that digests taken at different commits stay comparable.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ COMMANDS = (
     ("ci-tree", "110,120,176,180,210,264,495"),
     ("presentation", "96,99,165,168,240,392"),
     ("info", "4,6,9"),
+    ("info", "2,2001"),
+    ("info", "101,1000,5000"),
 )
 FORMATS = ("json", "text")
 

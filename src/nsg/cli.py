@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
 from .census import enumerate_records, summarize, write_records
-from .core import gap_text, make_semigroup, parse_generators
+from .core import gap_chunks, make_semigroup, parse_generators
 from .errors import NsgError
 from .gluing import ci_tree, extra_degree, glue
 from .presentations import minimal_presentation
@@ -57,14 +58,26 @@ def _emit(args, doc: dict, rows) -> None:
     _print_rows(rows())
 
 
-def _print_rows(pairs) -> None:
-    width = max(len(label) for label, _ in pairs)
+def _print_rows(pairs, width: int | None = None) -> None:
+    if width is None:
+        width = max(len(label) for label, _ in pairs)
     for label, value in pairs:
         print(f"{label + ':':<{width + 2}}{str(value).strip()}")
 
 
+def _write_gaps(out, s, sep: str) -> bool:
+    """Write sep.join(gap_chunks(s, sep)) to out a chunk at a time; True if any gap."""
+    write = out.write
+    lead = ""
+    for chunk in gap_chunks(s, sep):
+        write(lead)
+        write(chunk)
+        lead = sep
+    return bool(lead)
+
+
 def _cmd_info(args) -> int:
-    """Print the semigroup's invariants, with its gaps written by gap_text.
+    """Print the semigroup's invariants, with its gaps streamed from gap_chunks.
 
     The JSON line equals json.dumps(doc) for doc = head with "gaps" and
     "apery" appended, in that order.  With the default separators
@@ -73,11 +86,15 @@ def _cmd_info(args) -> int:
     ', "gaps": ' + list text, then ', "apery": ' + dict text and "}", is
     the text of the whole doc.  json.dumps writes a list of ints as "[",
     their str joined by ", ", "]", which is "[" + gap_text(s, ", ") + "]"
-    ("[]" for none).  The line is printed in three pieces, so the gap text,
-    tens of MB for a large semigroup, is not copied into a concatenation.
+    ("[]" for none).  gap_text is sep.join(gap_chunks(s, sep)), and the
+    chunks go to stdout one by one with sep between them, so the gap text,
+    tens of MB for a large semigroup, is never held whole.  The text rows
+    are _print_rows's, with the gaps row ("none" for none) written the same
+    way.
     """
     s = make_semigroup(args.generators)
     apery = s.apery.as_dict()
+    out = sys.stdout
     if args.format == "json":
         head = {
             "generators": list(s.generators),
@@ -86,24 +103,25 @@ def _cmd_info(args) -> int:
             "frobenius": s.frobenius,
             "genus": s.genus,
         }
-        print(
-            json.dumps(head)[:-1] + ', "gaps": [',
-            gap_text(s, ", "),
-            '], "apery": ' + json.dumps({str(r): w for r, w in apery.items()}) + "}",
-            sep="",
-        )
+        out.write(json.dumps(head)[:-1] + ', "gaps": [')
+        _write_gaps(out, s, ", ")
+        out.write('], "apery": ' + json.dumps({str(r): w for r, w in apery.items()}) + "}\n")
         return 0
-    _print_rows(
-        [
-            ("generators", _csv(s.generators)),
-            ("multiplicity", s.multiplicity),
-            ("embedding_dim", s.embedding_dim),
-            ("frobenius", s.frobenius),
-            ("genus", s.genus),
-            ("gaps", gap_text(s, ",") or "none"),
-            (f"apery mod {s.multiplicity}", " ".join(f"{r}:{w}" for r, w in apery.items())),
-        ]
-    )
+    apery_row = (f"apery mod {s.multiplicity}", " ".join(f"{r}:{w}" for r, w in apery.items()))
+    rows = [
+        ("generators", _csv(s.generators)),
+        ("multiplicity", s.multiplicity),
+        ("embedding_dim", s.embedding_dim),
+        ("frobenius", s.frobenius),
+        ("genus", s.genus),
+    ]
+    width = max(map(len, [label for label, _ in rows] + ["gaps", apery_row[0]]))
+    _print_rows(rows, width)
+    out.write(f"{'gaps:':<{width + 2}}")
+    if not _write_gaps(out, s, ","):
+        out.write("none")
+    out.write("\n")
+    _print_rows([apery_row], width)
     return 0
 
 
@@ -329,7 +347,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nsg parser, built on first use and shared by every run() call.
+
+    parse_args keeps no state between calls: each returns a new Namespace,
+    and prog is fixed to "nsg", so the help and usage text do not depend on
+    sys.argv.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"

@@ -14,7 +14,7 @@ import nsg
 
 from nsg import enumerate_records, read_records, record_to_doc, write_records
 from nsg.census import ENV_WORK_CEILING
-from nsg.cli import run
+from nsg.cli import build_parser, run
 
 from test_acceptance import NDJSON_SHA256
 
@@ -42,6 +42,21 @@ def test_info_json(capsys):
     assert doc["apery"] == {"0": 0, "1": 9, "2": 6, "3": 15}
 
 
+def test_info_of_the_natural_numbers_has_no_gap_piece(capsys):
+    # N has an empty gap mask, so the gap stream writes nothing
+    assert run_cli(capsys, "info", "1") == (
+        0,
+        "generators:    1\nmultiplicity:  1\nembedding_dim: 1\nfrobenius:     -1\n"
+        "genus:         0\ngaps:          none\napery mod 1:   0:0\n",
+        "",
+    )
+    code, out, _ = run_cli(capsys, "info", "1", "--format", "json")
+    assert (code, out) == (0, json.dumps({
+        "generators": [1], "multiplicity": 1, "embedding_dim": 1, "frobenius": -1,
+        "genus": 0, "gaps": [], "apery": {"0": 0},
+    }) + "\n")
+
+
 # sha256 of the stdout of `nsg info GENS --format FMT`, taken from the
 # version that built and sorted the whole gap list before printing it
 INFO_SHA256 = {
@@ -64,18 +79,19 @@ def test_large_info_output_is_pinned(capsys, generators, fmt):
 
 
 def test_info_never_builds_the_gap_list(capsys, monkeypatch):
-    # every nsg name for gaps is a trap, so `info` cannot go back to
-    # building and formatting one int per gap
-    real = nsg.core.gaps
+    # every nsg name for gaps and for gap_text is a trap, so `info` can go
+    # back neither to one int per gap nor to holding the whole gap text
+    for fname in ("gaps", "gap_text"):
+        real = getattr(nsg.core, fname)
 
-    def trap(semigroup):
-        raise AssertionError(f"gap list built for {semigroup}")
+        def trap(semigroup, *args, fname=fname):
+            raise AssertionError(f"{fname} called for {semigroup}")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "nsg" and vars(module).get("gaps") is real:
-            monkeypatch.setattr(module, "gaps", trap)
-    with pytest.raises(AssertionError, match="gap list built"):
-        nsg.core.gaps(nsg.make_semigroup([2, 3]))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "nsg" and vars(module).get(fname) is real:
+                monkeypatch.setattr(module, fname, trap)
+        with pytest.raises(AssertionError, match=f"{fname} called"):
+            getattr(nsg.core, fname)(nsg.make_semigroup([2, 3]), ",")
     for fmt in ("json", "text"):
         assert info_digest(capsys, "1000,1999", fmt) == INFO_SHA256["1000,1999", fmt]
 
@@ -334,6 +350,22 @@ def test_io_failure_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    # a usage error, a domain error, then text output: a --format or an
+    # error left behind by one call would show in the next
+    sequence = (
+        ("info", "4,6,9", "--format", "yaml"),
+        ("info", "4,6", "--format", "json"),
+        ("info", "4,6,9"),
+    )
+    first = [run_cli(capsys, *argv) for argv in sequence]
+    second = [run_cli(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [2, 1, 0]
+    assert first[2][1].startswith("generators:")
+    assert first == second
 
 
 def test_repeated_invocations_agree(capsys):

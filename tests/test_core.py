@@ -23,7 +23,8 @@ from nsg import (
     parse_generators,
     star_report,
 )
-from nsg.core import _build
+import nsg.core as core
+from nsg.core import _build, _run_count
 
 from oracles import naive_apery, naive_frobenius, naive_gaps, naive_genus, naive_member
 
@@ -259,14 +260,45 @@ def _check_gaps_against_reachability(gens):
     return expected
 
 
-def test_gaps_and_gap_text_match_reachability_through_genus_12():
-    # the generators come from the census walk; the expected gaps only from
-    # the oracle, and the count is A007323 summed over genus 0..12
-    count = 0
-    for s in enumerate_semigroups(12):
-        _check_gaps_against_reachability(s.generators)
-        count += 1
-    assert count == 1413
+def _naive_run_count(gap_list):
+    # a maximal run ends at each gap whose successor is not the next gap
+    return sum(1 for a, b in zip(gap_list, gap_list[1:] + [None]) if b != a + 1)
+
+
+@pytest.fixture
+def gap_routes(monkeypatch):
+    """The set of routes ("runs", "compress") gap_chunks took since the last clear."""
+    used = set()
+    for name, route in (("_run_pieces", "runs"), ("_compress_pieces", "compress")):
+        real = getattr(core, name)
+
+        def spy(*args, real=real, route=route):
+            used.add(route)
+            return real(*args)
+
+        monkeypatch.setattr(core, name, spy)
+    return used
+
+
+def test_gaps_and_gap_text_match_reachability_through_genus_12(monkeypatch, gap_routes):
+    # the generators come from the census walk; the expected gaps and runs
+    # only from the oracle, and the count is A007323 summed over genus 0..12.
+    # Every F is at most 23, so this is chunk 0 only, where the chunk and the
+    # last run end at F; gap_text is checked on its own route, then on each
+    # route forced in turn
+    expected = {
+        s: _check_gaps_against_reachability(s.generators) for s in enumerate_semigroups(12)
+    }
+    assert len(expected) == 1413
+    for s, gap_list in expected.items():
+        assert _run_count(s) == _naive_run_count(gap_list), s
+    for min_average, route in ((0, "runs"), (10**9, "compress")):
+        monkeypatch.setattr(core, "RUN_ROUTE_MIN_AVERAGE", min_average)
+        gap_routes.clear()
+        for s, gap_list in expected.items():
+            for sep in (", ", ","):
+                assert gap_text(s, sep) == sep.join(map(str, gap_list)), (s, sep, route)
+        assert gap_routes == {route}
 
 
 @pytest.mark.parametrize(
@@ -287,6 +319,37 @@ def test_gap_text_across_chunk_boundaries(gens, frobenius_number, last_gaps):
     expected = _check_gaps_against_reachability(gens)
     assert make_semigroup(gens).frobenius == frobenius_number
     assert expected[-2:] == last_gaps
+
+
+MULTI_CHUNK_INPUTS = (
+    (2, 2001),
+    (3, 2000),
+    (37, 1000, 1999),
+    (101, 1000, 5000),
+    (100, 101),
+    (500, 999),
+    (1000, 1001, 1003, 1007, 1011, 1013),
+)
+
+
+def test_gap_text_on_multi_chunk_inputs_takes_both_routes(gap_routes):
+    # expected gaps and runs only from the oracle; the route is the one
+    # RUN_ROUTE_MIN_AVERAGE picks, and the inputs must reach both
+    taken = {}
+    for gens in MULTI_CHUNK_INPUTS:
+        s = make_semigroup(gens)
+        gap_list = naive_gaps(gens)
+        assert _run_count(s) == _naive_run_count(gap_list), gens
+        gap_routes.clear()
+        for sep in (", ", ","):
+            assert gap_text(s, sep) == sep.join(map(str, gap_list)), (gens, sep)
+        (taken[gens],) = gap_routes
+    assert set(taken.values()) == {"runs", "compress"}
+    # the run route also writes a partial last chunk, whose last run ends at F
+    assert any(
+        route == "runs" and (make_semigroup(gens).frobenius + 1) % 1000
+        for gens, route in taken.items()
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -77,12 +77,12 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("nsg from ")
     lines = captured.out.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 22
     digests = {}
     for line in lines:
         code, sha, command, generators, flag, fmt = line.split(" ")
         assert (code, flag) == ("0", "--format") and len(sha) == 64
         digests[command, generators, fmt] = sha
-    assert len(digests) == 18
+    assert len(digests) == 22
     for (generators, fmt), sha in INFO_SHA256.items():
         assert digests["info", generators, fmt] == sha
