@@ -4,18 +4,23 @@
 
 Each line reads "<exit code> <sha256 of stdout> <command>".  The commands
 run in this process through nsg.cli.run, against whichever nsg the import
-finds first; its location goes to stderr.  Two checkouts print the same
-lines exactly when these commands give byte-identical stdout and equal exit
-codes, so comparing them is one diff:
+finds first; its location goes to stderr, and so do the error messages of
+the commands that exit 1.  Two checkouts print the same lines exactly when
+these commands give byte-identical stdout and equal exit codes, so
+comparing them is one diff:
 
     diff <(PYTHONPATH=../other/src python3 scripts/cli_digest.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digest.py)
 
 The list is the benchmark's large-single ladder of eight commands plus
-info 4,6,9, info 2,2001 and info 101,1000,5000, each in json and in text.
-The ladder's two info inputs have long gap runs and the last two short
-ones, so both of gap_chunks's routes are covered.  The list is fixed here,
-so that digests taken at different commits stay comparable.
+info 4,6,9, info 2,2001 and info 101,1000,5000, then glue and inductive on
+four gluings, each in json and in text.  The ladder's two info inputs have
+long gap runs and the last two short ones, so both of gap_chunks's routes
+are covered.  The gluings take their multiplicity from the left side, from
+the right side, and with N as the right side, and the last has an
+ineligible lambda and exits 1; inductive exits 1 on the first too, whose
+left side fails the star condition.  The list is fixed here, so that
+digests taken at different commits stay comparable.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from contextlib import redirect_stdout
 import nsg
 from nsg.cli import run
 
-COMMANDS = (
+SINGLE = (
     ("info", "500,999"),
     ("info", "1000,1999"),
     ("presentation", "200,201"),
@@ -40,6 +45,18 @@ COMMANDS = (
     ("info", "4,6,9"),
     ("info", "2,2001"),
     ("info", "101,1000,5000"),
+)
+# (left, right, lambda, mu) of mu*left + lambda*right
+GLUINGS = (
+    ("3,5", "4,6,9", "9", "10"),  # multiplicity mu*3 = 30 < lambda*4 = 36
+    ("4,6,9", "3,5", "10", "9"),  # multiplicity lambda*3 = 30 < mu*4 = 36
+    ("3,7", "1", "10", "3"),  # N on the right, multiplicity mu*3 = 9
+    ("2,3", "2,3", "3", "5"),  # lambda = 3 is a generator of the left side
+)
+COMMANDS = SINGLE + tuple(
+    (command, left, right, "--lambda", lam, "--mu", mu)
+    for left, right, lam, mu in GLUINGS
+    for command in ("glue", "inductive")
 )
 FORMATS = ("json", "text")
 
@@ -54,9 +71,9 @@ def digest(argv: list[str]) -> tuple[int, str]:
 
 def main() -> int:
     print(f"nsg from {nsg.__file__}", file=sys.stderr)
-    for command, generators in COMMANDS:
+    for command in COMMANDS:
         for fmt in FORMATS:
-            argv = [command, generators, "--format", fmt]
+            argv = [*command, "--format", fmt]
             code, sha = digest(argv)
             print(f"{code} {sha} {' '.join(argv)}")
     return 0

@@ -40,9 +40,11 @@ serves both make_semigroup and apery_set, and drops non-minimal generators.
 Everything is exact integer arithmetic; construction does all the work once
 and the resulting objects are immutable.  make_semigroup validates its input
 on every call, then builds through one 4096-entry lru cache keyed by the
-sorted distinct entries, so equal generator sets share one object: glue and
-check_star_gluing building the same gluing, or find_gluings rebuilding a
-donor as a quotient, pay for one construction.
+sorted distinct entries, so equal generator sets share one object:
+find_gluings rebuilding a donor as a quotient pays for no construction.
+A glued semigroup does not come this way: glue sums its table from the two
+sides by the gluing Apery lemma (proof at gluing._glued) and hands it to
+the same _from_table that finishes every build.
 """
 
 from __future__ import annotations
@@ -111,12 +113,17 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
 @lru_cache(maxsize=4096)
 def _build(gens: tuple[int, ...]) -> NumericalSemigroup:
     """The semigroup of validated, sorted, distinct gens, built once per tuple."""
-    m = gens[0]
-    kept, entries = _apery(gens[1:], m)
-    minimal = (m, *kept)
+    kept, entries = _apery(gens[1:], gens[0])
+    return _from_table((gens[0], *kept), entries)
+
+
+def _from_table(minimal: tuple[int, ...], entries: tuple[int, ...]) -> NumericalSemigroup:
+    """The semigroup with these sorted minimal generators and Apery table mod minimal[0]."""
+    m = minimal[0]
     frob = max(entries) - m
-    # entry(r) = r (mod m), so (entry(r) - r) // m counts the gaps in class r
-    genus = sum((w - r) // m for r, w in enumerate(entries))
+    # entry(r) = r (mod m), so (entry(r) - r) / m counts the gaps in class r;
+    # summed over r = 0 .. m - 1, that is (sum(entries) - m(m - 1)/2) / m
+    genus = (sum(entries) - m * (m - 1) // 2) // m
     return NumericalSemigroup(
         generators=minimal,
         multiplicity=m,

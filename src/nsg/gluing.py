@@ -11,6 +11,17 @@ used throughout:
     degrees(glued) = mu * degrees(S)  +  lambda * degrees(S2)  +  {d}
     F(glued)       = d + mu * F(S) + lambda * F(S2)
 
+glue builds the glued semigroup from the Apery tables of its sides, by the
+gluing Apery lemma (proof at _glued): with m = mu * m(S), the smaller
+scaled multiplicity up to swapping the sides,
+
+    Ap(glued, m)   = mu * Ap(S, m(S))  +  lambda * Ap(S2, mu)
+
+as all sums of one element from each, O(m) additions instead of a round
+robin through make_semigroup.  Each gluing is built once, and each table
+Ap(S2, mu) once, so glue, extra_degree and check_star_gluing on one gluing
+share one object.
+
 A semigroup is a complete intersection exactly when its minimal presentation
 has (number of generators - 1) relations, and equivalently (apart from N
 itself, which is trivially one) when it is a gluing of two smaller complete
@@ -20,9 +31,10 @@ count against it.  The first gluing split of a semigroup decides: its
 quotients are complete intersections exactly when the semigroup is one, by
 the relation count of the gluing (proof at ci_tree).  Every complete
 intersection has multiplicity at least 2^(e-1) for e generators, so ci_tree
-rejects the rest before it looks for a split.  The relation degrees of a
-complete intersection are read off its tree by the first identity above;
-no presentation is built, and the tests compare the two.
+rejects the rest before it looks for a split, and before its cache.  The
+relation degrees of a complete intersection are read off its tree by the
+first identity above, once per tree node; no presentation is built, and
+the tests compare the two.
 
 For complete intersections the a-invariant is sum(relation degrees) minus
 sum(generators), and it coincides with the Frobenius number.
@@ -32,11 +44,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
-from .core import NumericalSemigroup, contains, make_semigroup
+from .core import NumericalSemigroup, _from_table, apery_set, contains, make_semigroup
 from .errors import (
     ConsistencyError,
     FamilyConstraintError,
@@ -82,7 +94,7 @@ class CITree:
         """lam * mu of the root split; None for a leaf."""
         return None if self.is_leaf else self.split.lam * self.split.mu
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         """The relation degree multiset of the semigroup, ascending.
 
@@ -96,6 +108,9 @@ class CITree:
         fewest any presentation of an e-generated numerical semigroup can
         have.  It is therefore minimal, and all minimal presentations share
         one degree multiset.
+
+        Computed once per node and kept: the tree is immutable, and each
+        gluing item and census record reads it more than once.
         """
         if self.is_leaf:
             return ()
@@ -141,8 +156,11 @@ def glue(
 
     lam must be an element of left but not one of its minimal generators
     (hence lam >= 2), mu likewise for right, and gcd(lam, mu) must be 1.
-    The result's minimal generators are exactly the scaled generators of the
-    two sides; that is verified, not assumed.
+    The arguments are checked on every call.  The glued semigroup is built
+    once per (left, right, lam, mu), by _glued, which sums its Apery table
+    from those of the two sides by the gluing Apery lemma.  Its minimal
+    generators are exactly the scaled generators of the two sides; _glued
+    verifies that by lookups in the new table, and does not assume it.
     """
     if not _non_generator_element(left, lam):
         raise LambdaNotEligibleError(
@@ -154,13 +172,80 @@ def glue(
         )
     if gcd(lam, mu) != 1:
         raise NotCoprimeError(f"gcd(lambda, mu) = gcd({lam}, {mu}) != 1")
-    scaled = [mu * a for a in left.generators] + [lam * b for b in right.generators]
-    glued = make_semigroup(scaled)
-    if glued.generators != tuple(sorted(scaled)):
-        raise ConsistencyError(
-            f"scaled generators {sorted(scaled)} are not minimal in {glued}"
-        )
-    return glued
+    return _glued(left, right, lam, mu)
+
+
+@lru_cache(maxsize=4096)
+def _side_table(side: NumericalSemigroup, scale: int) -> tuple[int, ...]:
+    """Ap(side, scale), the side table _glued sums over, built once per pair."""
+    return apery_set(side, scale).entries
+
+
+@lru_cache(maxsize=4096)
+def _glued(
+    left: NumericalSemigroup,
+    right: NumericalSemigroup,
+    lam: int,
+    mu: int,
+) -> NumericalSemigroup:
+    """mu*left + lam*right for eligible arguments, from the tables of its sides.
+
+    Write S = mu*S1 + lam*S2 with multiplicities m1, m2.  Every nonzero
+    element of S is mu*a + lam*b with a in S1, b in S2, not both 0, so the
+    multiplicity of S is min(mu*m1, lam*m2).  S is also lam*S2 + mu*S1, so
+    after swapping the sides when lam*m2 is the smaller, m = mu*m1 is the
+    multiplicity, and the gluing Apery lemma gives the table:
+
+        Ap(S, mu*m1) = {mu*w + lam*v : w in Ap(S1, m1), v in Ap(S2, mu)}
+
+    It needs only lam in S1, mu in S2 and gcd(lam, mu) = 1.  Proof in two
+    steps.  (1) The m1*mu sums are pairwise incongruent mod mu*m1.  If
+    mu*w + lam*v = mu*w' + lam*v' (mod mu*m1), then reducing mod mu gives
+    lam*(v - v') = 0 (mod mu), so v = v' (mod mu) as gcd(lam, mu) = 1, and
+    v = v', since Ap(S2, mu) holds one element per class mod mu.  Then
+    mu*(w - w') = 0 (mod mu*m1), so w = w' (mod m1), and w = w' likewise.
+    (2) Each sum x = mu*w + lam*v is the least element of S in its class.
+    It is in S.  If x - mu*m1 were in S too, say mu*a + lam*b with a in
+    S1, b in S2, then lam*(v - b) = mu*(a + m1 - w), so mu divides v - b:
+    v - b = k*mu and a + m1 - w = k*lam.  Reducing the S2 part mod mu,
+    k >= 1 would put v - mu = b + (k - 1)*mu in S2, against v in
+    Ap(S2, mu); so k <= 0, and w - m1 = a + (-k)*lam is in S1, against w in
+    Ap(S1, m1).  Every smaller element of the class is x - j*mu*m1 with
+    j >= 1, which would put x - mu*m1 = (x - j*mu*m1) + (j - 1)*mu*m1 in S.
+    So the sums are m1*mu = m least elements of distinct classes mod m:
+    the whole table.  This takes O(m) sums plus Ap(S2, mu) from apery_set,
+    O(e2 * mu), instead of a round robin over all e generators mod m.
+
+    The scaled generators generate S, so they are its minimal generators
+    exactly when they are distinct and none is a sum of two nonzero
+    elements of S.  If x = y + z is such a sum, y is a sum of listed
+    generators, so y - g is in S for one of them, g <= y < x, and x - g is
+    in S; conversely x - g in S with g < x writes x as g + (x - g).  Over
+    the sorted list, that is e*(e - 1)/2 table lookups, x - g for each g
+    listed before x; a repeated generator is caught by x - x = 0.  A
+    failure raises ConsistencyError.  Under glue's eligibility checks none
+    occurs (Rosales, Semigroup Forum 1997); the lookups stay as a
+    consistency check.
+    """
+    scaled = sorted([mu * a for a in left.generators] + [lam * b for b in right.generators])
+    if lam * right.multiplicity < mu * left.multiplicity:
+        left, right, lam, mu = right, left, mu, lam
+    m = mu * left.multiplicity
+    entries = [0] * m
+    base = [mu * w for w in left.apery.entries]
+    for v in _side_table(right, mu):
+        v *= lam
+        for w in base:
+            x = w + v
+            entries[x % m] = x
+    for i, x in enumerate(scaled):
+        for g in scaled[:i]:
+            if x - g >= entries[(x - g) % m]:
+                raise ConsistencyError(
+                    f"scaled generators {scaled} are not minimal: "
+                    f"{x} = {g} + {x - g} in {mu}*{left} + {lam}*{right}"
+                )
+    return _from_table(tuple(scaled), tuple(entries))
 
 
 def _splits(semigroup: NumericalSemigroup) -> Iterator[GluingSplit]:
@@ -216,15 +301,15 @@ def extra_degree(
     """The one relation degree of the gluing not inherited from the sides.
 
     It is lam * mu (proof at CITree.degrees).  glued must be the gluing
-    mu*left + lam*right: glue validates the arguments and rebuilds it, and a
-    different glued raises ConsistencyError.
+    mu*left + lam*right: glue validates the arguments and returns the one
+    object it built for them, and a different glued raises
+    ConsistencyError.
     """
     if glue(left, right, lam, mu) != glued:
         raise ConsistencyError(f"{glued} is not the gluing {mu}*{left} + {lam}*{right}")
     return lam * mu
 
 
-@lru_cache(maxsize=4096)
 def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     """A recursive gluing certificate, or None when none exists.
 
@@ -249,11 +334,19 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     e1 + e2 = e generators, lam is a non-generator element of S1, hence a
     sum of two nonzero elements and lam >= 2*m1; likewise mu >= 2*m2.  So
     m = min(mu*m1, lam*m2) >= 2*m1*m2 >= 2 * 2^(e1-1) * 2^(e2-1) = 2^(e-1).
+    Both checks come before the cached search, _ci_tree, so the semigroups
+    they settle, most of any census, are neither hashed nor kept.
     """
     if semigroup.embedding_dim == 1:
         return CITree(semigroup=semigroup, split=None, left=None, right=None)
     if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
         return None
+    return _ci_tree(semigroup)
+
+
+@lru_cache(maxsize=4096)
+def _ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
+    """ci_tree past its two checks: the tree over the first split, or None."""
     split = next(_splits(semigroup), None)
     if split is None:
         return None

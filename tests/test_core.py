@@ -15,16 +15,17 @@ from nsg import (
     check_star_gluing,
     contains,
     enumerate_semigroups,
+    extra_degree,
     frobenius,
     gap_text,
     gaps,
     glue,
     make_semigroup,
     parse_generators,
-    star_report,
 )
 import nsg.core as core
-from nsg.core import _build, _run_count
+from nsg.core import _run_count
+from nsg.gluing import _glued
 
 from oracles import naive_apery, naive_frobenius, naive_gaps, naive_genus, naive_member
 
@@ -117,16 +118,21 @@ def test_invalid_input_raises_on_every_call():
             make_semigroup([0, 3])
 
 
-def test_glue_then_check_star_gluing_builds_the_glued_semigroup_once():
-    _build.cache_clear()
+def test_glue_then_check_star_gluing_builds_the_glued_semigroup_once(monkeypatch):
     left, right = make_semigroup([2, 3]), make_semigroup([2, 5])
-    # their gluing trees build the quotients <1> before counting starts
-    star_report(left), star_report(right)
-    misses = _build.cache_info().misses
+    built = []
+    real_build = core._build
+    monkeypatch.setattr(core, "_build", lambda gens: built.append(gens) or real_build(gens))
+    _glued.cache_clear()
     glued = glue(left, right, 4, 7)
+    assert extra_degree(glued, left, right, 4, 7) == 28
     report = check_star_gluing(left, right, 4, 7)
     assert report.glued is glued
-    assert _build.cache_info().misses == misses + 1
+    # one build by the gluing Apery lemma, shared by all three calls, and
+    # none through make_semigroup
+    assert (_glued.cache_info().misses, _glued.cache_info().hits) == (1, 2)
+    assert glued.generators == (8, 14, 20, 21)
+    assert glued.generators not in built
 
 
 def test_membership_basics():

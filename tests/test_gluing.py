@@ -1,6 +1,8 @@
 """Gluings, CI certificates, the a-invariant, and the three-generator family."""
 
+import weakref
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -23,7 +25,9 @@ from nsg import (
     relation_degrees,
     three_gen_family,
 )
+import nsg.gluing as gluing
 from nsg.core import _build
+from nsg.gluing import _ci_tree, _glued
 
 from oracles import naive_frobenius
 
@@ -61,6 +65,67 @@ def test_glue_rejects_ineligible_lambda():
         glue(s, s, 1, 5)  # a unit
     with pytest.raises(LambdaNotEligibleError):
         glue(make_semigroup([3, 7]), s, 4, 5)  # not an element at all
+
+
+def _first_non_generators(semigroup, count=3):
+    """The count smallest elements >= 2 of the semigroup that are no minimal generator."""
+    found, n = [], 2
+    while len(found) < count:
+        if n in semigroup and n not in semigroup.generators:
+            found.append(n)
+        n += 1
+    return found
+
+
+def test_glue_by_the_apery_lemma_matches_make_semigroup():
+    # every gluing of two semigroups of genus <= 4, N among them, with lambda
+    # and mu among the first three non-generator elements of their sides;
+    # glue sums its table by the lemma, make_semigroup runs the round robin
+    sides = list(enumerate_semigroups(4))
+    natural = make_semigroup([1])
+    branches, with_natural = Counter(), Counter()
+    for left in sides:
+        for right in sides:
+            for lam in _first_non_generators(left):
+                for mu in _first_non_generators(right):
+                    if gcd(lam, mu) != 1:
+                        continue
+                    scaled = [mu * a for a in left.generators] + [
+                        lam * b for b in right.generators
+                    ]
+                    glued = glue(left, right, lam, mu)
+                    expected = make_semigroup(scaled)
+                    assert glued.generators == expected.generators == tuple(sorted(scaled))
+                    assert glued.apery.entries == expected.apery.entries
+                    assert glued.frobenius == expected.frobenius == naive_frobenius(scaled)
+                    assert glued.genus == expected.genus
+                    assert glued == expected
+                    if glued.multiplicity == mu * left.multiplicity:
+                        branches["left"] += 1
+                    if glued.multiplicity == lam * right.multiplicity:
+                        branches["right"] += 1
+                    with_natural["left"] += left == natural
+                    with_natural["right"] += right == natural
+    assert sum(branches.values()) == 786
+    assert branches["left"] > 0 and branches["right"] > 0
+    assert with_natural["left"] > 0 and with_natural["right"] > 0
+
+
+def test_glued_checks_that_the_scaled_generators_are_minimal():
+    # glue's eligibility checks make this a theorem; past them, a lambda or
+    # mu that is a generator leaves a scaled generator that is not minimal,
+    # and the lookups in the lemma table catch it, a sum and a repeat alike
+    natural, two_three = make_semigroup([1]), make_semigroup([2, 3])
+    with pytest.raises(ConsistencyError) as sum_of_two:
+        _glued(natural, two_three, 1, 5)
+    assert str(sum_of_two.value) == (
+        "scaled generators [2, 3, 5] are not minimal: 5 = 2 + 3 in 1*<2,3> + 5*<1>"
+    )
+    with pytest.raises(ConsistencyError) as repeat:
+        _glued(two_three, two_three, 2, 3)
+    assert str(repeat.value) == (
+        "scaled generators [4, 6, 6, 9] are not minimal: 6 = 6 + 0 in 2*<2,3> + 3*<2,3>"
+    )
 
 
 def test_glue_rejects_ineligible_mu():
@@ -134,9 +199,46 @@ def test_ci_tree_builds_only_the_first_split():
     ]:
         s = make_semigroup(gens)
         _build.cache_clear()
-        ci_tree.cache_clear()
+        _ci_tree.cache_clear()
         assert ci_tree(s) is not None
         assert _build.cache_info().misses == builds, gens
+
+
+def test_ci_tree_rejects_by_the_prefilter_before_its_cache(monkeypatch):
+    # N and the semigroups with m < 2^(e-1) are settled by ci_tree itself;
+    # only the rest reach the cached search, and hence its cache
+    searched = []
+    real = gluing._ci_tree
+    monkeypatch.setattr(gluing, "_ci_tree", lambda s: searched.append(s) or real(s))
+    swept = list(enumerate_semigroups(12))
+    rejected = [s for s in swept if s.multiplicity < 2 ** (s.embedding_dim - 1)]
+    assert (len(swept), len(rejected)) == (1413, 1305)
+    for s in rejected:
+        assert ci_tree(s) is None
+    assert ci_tree(make_semigroup([1])).is_leaf
+    assert searched == []
+    for s in swept:
+        ci_tree(s)
+    assert searched
+    assert all(
+        s.embedding_dim > 1 and s.multiplicity >= 2 ** (s.embedding_dim - 1)
+        for s in searched
+    )
+    # a rejected semigroup of genus 13, built outside make_semigroup's cache,
+    # is kept by no cache
+    loose = _build.__wrapped__((10, 11, 12, 13, 14, 15))
+    assert loose.genus == 13
+    kept = weakref.ref(loose)
+    assert ci_tree(loose) is None
+    del loose
+    assert kept() is None
+
+
+def test_ci_tree_degrees_are_computed_once_per_node():
+    tree = ci_tree(make_semigroup([8, 10, 12, 15]))
+    assert tree.degrees == (20, 24, 30)
+    assert tree.degrees is tree.degrees
+    assert tree.left.degrees is tree.left.degrees
 
 
 def test_ci_tree_leaf_and_absence():

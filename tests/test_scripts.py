@@ -77,12 +77,21 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("nsg from ")
     lines = captured.out.splitlines()
-    assert len(lines) == 22
+    assert len(lines) == 38
     digests = {}
     for line in lines:
-        code, sha, command, generators, flag, fmt = line.split(" ")
-        assert (code, flag) == ("0", "--format") and len(sha) == 64
-        digests[command, generators, fmt] = sha
-    assert len(digests) == 22
+        code, sha, *argv = line.split(" ")
+        assert argv[-2] == "--format" and len(sha) == 64
+        digests[tuple(argv)] = code, sha
+    assert len(digests) == 38
     for (generators, fmt), sha in INFO_SHA256.items():
-        assert digests["info", generators, fmt] == sha
+        assert digests["info", generators, "--format", fmt] == ("0", sha)
+    # the commands that exit 1: an ineligible lambda for both gluing
+    # commands, and a left side failing star for inductive
+    failing = {argv[:-2] for argv, (code, _) in digests.items() if code != "0"}
+    assert failing == {
+        ("glue", "2,3", "2,3", "--lambda", "3", "--mu", "5"),
+        ("inductive", "2,3", "2,3", "--lambda", "3", "--mu", "5"),
+        ("inductive", "3,5", "4,6,9", "--lambda", "9", "--mu", "10"),
+    }
+    assert {code for code, _ in digests.values()} == {"0", "1"}
