@@ -1,12 +1,12 @@
-"""Exit code and stdout sha256 of a fixed list of nsg commands, one line each.
+"""Exit code, stdout and stderr sha256 of a fixed list of nsg commands, one line each.
 
     PYTHONPATH=src python3 scripts/cli_digest.py
 
-Each line reads "<exit code> <sha256 of stdout> <command>".  The commands
-run in this process through nsg.cli.run, against whichever nsg the import
-finds first; its location goes to stderr, and so do the error messages of
-the commands that exit 1.  Two checkouts print the same lines exactly when
-these commands give byte-identical stdout and equal exit codes, so
+Each line reads "<exit code> <sha256 of stdout> <sha256 of stderr>
+<command>".  The commands run in this process through nsg.cli.run, against
+whichever nsg the import finds first; its location goes to stderr.  Two
+checkouts print the same lines exactly when these commands give
+byte-identical stdout, byte-identical error text and equal exit codes, so
 comparing them is one diff:
 
     diff <(PYTHONPATH=../other/src python3 scripts/cli_digest.py) \\
@@ -14,11 +14,12 @@ comparing them is one diff:
 
 The list is the benchmark's large-single ladder of eight commands plus
 info 4,6,9, info 2,2001 and info 101,1000,5000, then glue and inductive on
-four gluings, each in json and in text.  The ladder's two info inputs have
-long gap runs and the last two short ones, so both of gap_chunks's routes
-are covered.  The gluings take their multiplicity from the left side, from
-the right side, and with N as the right side, and the last has an
-ineligible lambda and exits 1; inductive exits 1 on the first too, whose
+four gluings, then the census commands enumerate --max-genus 8 and verify
+--max-genus 10, each in json and in text.  The ladder's two info inputs
+have long gap runs and the last two short ones, so both of gap_chunks's
+routes are covered.  The gluings take their multiplicity from the left
+side, from the right side, and with N as the right side, and the last has
+an ineligible lambda and exits 1; inductive exits 1 on the first too, whose
 left side fails the star condition.  The list is fixed here, so that
 digests taken at different commits stay comparable.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import nsg
 from nsg.cli import run
@@ -53,20 +54,28 @@ GLUINGS = (
     ("3,7", "1", "10", "3"),  # N on the right, multiplicity mu*3 = 9
     ("2,3", "2,3", "3", "5"),  # lambda = 3 is a generator of the left side
 )
+CENSUS = (
+    ("enumerate", "--max-genus", "8"),
+    ("verify", "--max-genus", "10"),
+)
 COMMANDS = SINGLE + tuple(
     (command, left, right, "--lambda", lam, "--mu", mu)
     for left, right, lam, mu in GLUINGS
     for command in ("glue", "inductive")
-)
+) + CENSUS
 FORMATS = ("json", "text")
 
 
-def digest(argv: list[str]) -> tuple[int, str]:
-    """Exit code and sha256 of the UTF-8 stdout of `nsg argv`."""
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
+def _sha256(buffer: io.StringIO) -> str:
+    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
+def digest(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code and sha256 of the UTF-8 stdout and stderr of `nsg argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
-    return code, hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    return code, _sha256(out), _sha256(err)
 
 
 def main() -> int:
@@ -74,8 +83,8 @@ def main() -> int:
     for command in COMMANDS:
         for fmt in FORMATS:
             argv = [*command, "--format", fmt]
-            code, sha = digest(argv)
-            print(f"{code} {sha} {' '.join(argv)}")
+            code, out_sha, err_sha = digest(argv)
+            print(f"{code} {out_sha} {err_sha} {' '.join(argv)}")
     return 0
 
 

@@ -7,9 +7,15 @@ streaming: one explicit stack holds only the pending siblings along the
 current path, each as its parent and the generator to remove, so memory
 stays bounded by the tree depth.  A child is derived from its parent, not
 rebuilt: removing g changes one Apery entry (g becomes g + m), sets F = g,
-and its new minimal generators are among the sums g + a of g with a
-generator a of the parent (_remove_generator has the proof).  Only the
-ordinary semigroups, children through g = m, are built afresh.
+and adds at most one minimal generator, g + m, which is tested against the
+kept generators and appended last (_remove_generator has the proof).  Only
+the ordinary semigroups, children through g = m, are built afresh.
+
+A record costs a few object builds, so the census keeps each one cheap:
+records and semigroups are built with positional arguments, every non-CI
+record shares the one StarReport of its Frobenius number (star_report),
+and read_records decodes a line with one raw_decode, falling back to
+json.loads only to raise its error.
 
 Each enumerated semigroup is condensed into a CensusRecord and serialized as
 one JSON object per line with a fixed field set:
@@ -40,6 +46,7 @@ from .star import (
     StarReport,
     StarVerdict,
     _pattern_class,
+    _undefined_report,
     expected_verdict,
     star_report,
 )
@@ -115,14 +122,20 @@ def _remove_generator(
       y = g + z with z a nonzero element of S.  If z = z1 + z2 with z2 != g
       (both nonzero), then y = (g + z1) + z2 splits in T; and 3g, the case
       z1 = z2 = g, is (g + 1) + (2g - 1), both elements of T once g >= 2,
-      which g > m >= 1 gives.  So z is a minimal generator a of S, and
-      msg(T) = (msg(S) - {g}) + {g + a irreducible in T}.
-    * Irreducibility: y is reducible in T exactly when y - b is in T for
-      some minimal generator b < y of T.  Taking a ascending, those b are
-      the kept generators below y and the g + a' already accepted, and
-      each membership test reads the child's table.
+      which g > m >= 1 gives.  So z is a minimal generator a of S.
+    * One candidate: for a generator a > m of S (g itself included),
+      y = g + a has y - m > g = F(T), so y - m is in T, and so is m, as
+      g != m; y = m + (y - m) splits in T.  That leaves a = m, and
+      msg(T) = (msg(S) - {g}) + {g + m, when it is irreducible in T}.
+    * Order: every generator a of S is at most F(S) + m < g + m, since
+      a > F(S) + m would split as m + (a - m) with a - m > F(S) >= 1.  So
+      g + m goes last, and the list stays sorted without a sort.
+    * Irreducibility: y = g + m is reducible in T exactly when y - b is in
+      T for some minimal generator b < y of T, that is, for some kept
+      generator b; each membership test reads the child's table.
 
-    The work is O(m + e^2), against O(g + e*m) for a rebuild.
+    The work is O(m + e), against O(g + e*m) for a rebuild.  Both objects
+    are built with positional arguments, which cost less than keywords.
     """
     m = semigroup.multiplicity
     if g == m:
@@ -130,24 +143,20 @@ def _remove_generator(
     entries = list(semigroup.apery.entries)
     entries[g % m] = g + m
     generators = [a for a in semigroup.generators if a != g]
-    for a in semigroup.generators:
-        y = g + a
-        # y is no kept generator (it is a sum in S), and a b > y leaves a
-        # negative difference, which no entry admits
-        for b in generators:
-            d = y - b
-            if d >= entries[d % m]:
-                break
-        else:
-            generators.append(y)
-    generators.sort()
+    y = g + m
+    for b in generators:
+        d = y - b
+        if d >= entries[d % m]:
+            break
+    else:
+        generators.append(y)
     return NumericalSemigroup(
-        generators=tuple(generators),
-        multiplicity=m,
-        embedding_dim=len(generators),
-        apery=AperyTable(modulus=m, entries=tuple(entries)),
-        frobenius=g,
-        genus=semigroup.genus + 1,
+        tuple(generators),
+        m,
+        len(generators),
+        AperyTable(m, tuple(entries)),
+        g,
+        semigroup.genus + 1,
     )
 
 
@@ -195,13 +204,13 @@ def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
         star = star_report(semigroup)
         tag = _pattern_class(semigroup, star)
         return CensusRecord(
-            generators=semigroup.generators,
-            genus=semigroup.genus,
-            frobenius=semigroup.frobenius,
-            embedding_dim=semigroup.embedding_dim,
-            is_ci=tag is not ExceptionClass.NOT_CI,
-            star=star,
-            exception=tag,
+            semigroup.generators,
+            semigroup.genus,
+            semigroup.frobenius,
+            semigroup.embedding_dim,
+            tag is not ExceptionClass.NOT_CI,
+            star,
+            tag,
         )
     except ConsistencyError as err:
         # name the semigroup, so one `nsg star <generators>` reproduces it
@@ -382,21 +391,17 @@ def _record_from_doc(doc) -> CensusRecord:
             "d_max must be null exactly when star_verdict is undefined, "
             f"got d_max={d_max!r} with {verdict.value}"
         )
-    margin = None
-    if not undefined:
+    if undefined:
+        star = _undefined_report(frobenius)
+    else:
         if type(d_max) is not int:
             raise MalformedRecordError(f"d_max must be an integer, got {d_max!r}")
         margin = 2 * frobenius - d_max
         if (verdict is StarVerdict.SATISFIED) != (margin > 0):
             raise MalformedRecordError(f"star_verdict contradicts 2F - d_max = {margin}")
+        star = StarReport(frobenius, d_max, verdict, margin)
     return CensusRecord(
-        generators=tuple(generators),
-        genus=genus,
-        frobenius=frobenius,
-        embedding_dim=embedding_dim,
-        is_ci=is_ci,
-        star=StarReport(frobenius=frobenius, d_max=d_max, verdict=verdict, margin=margin),
-        exception=exception,
+        tuple(generators), genus, frobenius, embedding_dim, is_ci, star, exception
     )
 
 
@@ -440,7 +445,27 @@ def read_records(source) -> Iterator[CensusRecord]:
             yield from _read_from(handle)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _read_from(handle) -> Iterator[CensusRecord]:
+    """Records of the non-blank lines of handle, each decoded by one raw_decode.
+
+    json.loads(text) is exactly raw_decode(text) followed by two checks:
+    it first rejects a text that starts with a BOM, then decodes from the
+    end of the leading JSON whitespace, and after the value it skips JSON
+    whitespace and raises "Extra data" unless that reaches the end.  The
+    line is stripped, and JSON whitespace (space, tab, CR, LF) is Python
+    whitespace, so text has none at either end, and its JSON value starts
+    at 0.  A BOM is no JSON whitespace and starts no value, so raw_decode
+    raises on it too.  So when raw_decode returns a value that ends at
+    len(text), json.loads returns an equal one, as both run the same
+    default decoder from index 0.  When raw_decode raises, json.loads
+    raises as well (on a BOM, its own message); when it stops short, the
+    rest is no whitespace, and json.loads raises "Extra data".  Those lines
+    go to json.loads for its error, so the two routes accept the same
+    lines, give equal docs, and fail with the same error.
+    """
     for line_no, line in enumerate(handle, start=1):
         text = line.strip()
         if not text:
@@ -448,7 +473,13 @@ def _read_from(handle) -> Iterator[CensusRecord]:
         # ValueError covers JSONDecodeError and integer literals over the
         # interpreter's digit limit; RecursionError, arrays nested too deep
         try:
-            record = _record_from_doc(json.loads(text))
+            try:
+                doc, end = _raw_decode(text)
+            except Exception:
+                end = -1  # json.loads below raises the error to report
+            if end != len(text):
+                doc = json.loads(text)
+            record = _record_from_doc(doc)
         except (ValueError, RecursionError, MalformedRecordError) as err:
             raise MalformedRecordError(f"line {line_no}: {err}") from None
         yield record

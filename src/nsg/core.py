@@ -81,6 +81,12 @@ class NumericalSemigroup:
     frobenius: int
     genus: int
 
+    def __hash__(self) -> int:
+        # the minimal generators determine the semigroup, so equal objects
+        # hash equal; the generated hash would also hash the Apery tuple,
+        # m entries, on every cache lookup
+        return hash(self.generators)
+
     def __contains__(self, n: int) -> bool:
         return contains(self, n)
 
@@ -124,14 +130,7 @@ def _from_table(minimal: tuple[int, ...], entries: tuple[int, ...]) -> Numerical
     # entry(r) = r (mod m), so (entry(r) - r) / m counts the gaps in class r;
     # summed over r = 0 .. m - 1, that is (sum(entries) - m(m - 1)/2) / m
     genus = (sum(entries) - m * (m - 1) // 2) // m
-    return NumericalSemigroup(
-        generators=minimal,
-        multiplicity=m,
-        embedding_dim=len(minimal),
-        apery=AperyTable(modulus=m, entries=entries),
-        frobenius=frob,
-        genus=genus,
-    )
+    return NumericalSemigroup(minimal, m, len(minimal), AperyTable(m, entries), frob, genus)
 
 
 def _apery(gens, m: int) -> tuple[list[int], tuple[int, ...]]:

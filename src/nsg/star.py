@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd
 
 from .core import NumericalSemigroup
@@ -109,21 +110,26 @@ def star_report(semigroup: NumericalSemigroup) -> StarReport:
     Undefined for N and for non complete intersections; d_max and margin are
     then absent rather than computed from data the condition does not cover.
     One ci_tree call decides CI, and d_max is read off the tree's degrees.
+    An undefined report depends on F alone, so all of them with one F are
+    one shared object (_undefined_report).
     """
     tree = None if semigroup.embedding_dim == 1 else ci_tree(semigroup)
     if tree is None:
-        return StarReport(
-            frobenius=semigroup.frobenius,
-            d_max=None,
-            verdict=StarVerdict.UNDEFINED,
-            margin=None,
-        )
+        return _undefined_report(semigroup.frobenius)
     d_max = max(tree.degrees)
     margin = 2 * semigroup.frobenius - d_max
     verdict = StarVerdict.SATISFIED if margin > 0 else StarVerdict.FAILED
-    return StarReport(
-        frobenius=semigroup.frobenius, d_max=d_max, verdict=verdict, margin=margin
-    )
+    return StarReport(semigroup.frobenius, d_max, verdict, margin)
+
+
+@lru_cache(maxsize=1024)
+def _undefined_report(frobenius: int) -> StarReport:
+    """The star report of N or of a non complete intersection with this F.
+
+    The report is immutable, so every census record with that F, built or
+    read back, can hold the same one instead of a new build.
+    """
+    return StarReport(frobenius, None, StarVerdict.UNDEFINED, None)
 
 
 def _pattern_class(semigroup: NumericalSemigroup, report: StarReport) -> ExceptionClass:

@@ -34,6 +34,7 @@ from nsg.census import (
     ENV_WORK_CEILING,
     RECORD_FIELDS,
     _line,
+    _record_from_doc,
     _remove_generator,
     _walk,
 )
@@ -81,6 +82,7 @@ def test_child_step_matches_rebuild_through_genus_15():
     # reads the parent, which was itself checked one level up, back to N
     children = 0
     for node in enumerate_semigroups(15):
+        m = node.multiplicity
         for g in node.generators:
             if g <= node.frobenius:
                 continue
@@ -91,9 +93,23 @@ def test_child_step_matches_rebuild_through_genus_15():
             # dataclass equality: generators, multiplicity, embedding_dim,
             # Apery modulus and entries, frobenius and genus
             assert child == rebuilt, (node.generators, g)
+            if g != m:
+                # the one candidate the child step tests
+                assert set(child.generators) - set(node.generators) <= {g + m}, (
+                    node.generators, g)
             children += 1
     # the children are exactly the semigroups of genus 1..16 (A007323)
     assert children == 11769
+
+
+def test_walked_semigroups_equal_and_hash_as_their_rebuilds():
+    # the walk builds its nodes directly, not through make_semigroup's
+    # cache, so caches keyed by semigroups must find them under either
+    for node in enumerate_semigroups(10):
+        rebuilt = make_semigroup(node.generators)
+        assert node == rebuilt
+        assert hash(node) == hash(rebuilt) == hash(node.generators)
+        assert {rebuilt: True}[node]
 
 
 @pytest.mark.parametrize("genus", range(0, 7))
@@ -353,6 +369,62 @@ def test_reader_messages_are_exact():
     with pytest.raises(MalformedRecordError) as raised:
         list(read_records(io.StringIO(good + "\n" + good[:-1] + "\n")))
     assert str(raised.value).startswith("line 2: Expecting ',' delimiter")
+
+
+def _reader_lines():
+    """Lines for the reader: records as written, and hostile variants of them."""
+    docs = [record_to_doc(r) for r in enumerate_records(4)]
+    valid = st.sampled_from([json.dumps(doc) for doc in docs])
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+        | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+    field_changed = st.builds(
+        lambda doc, field, value: json.dumps({**doc, field: value}),
+        st.sampled_from(docs), st.sampled_from(RECORD_FIELDS), json_values,
+    )
+    truncated = st.builds(lambda text, cut: text[:cut], valid, st.integers(0, 200))
+    trailing = st.builds(
+        lambda text, tail: text + tail,
+        valid,
+        st.sampled_from([" x", "{}", " 1", "]", ",", " []", '\t"a"']) | st.text(max_size=4),
+    )
+    bom = st.builds(lambda text: "\ufeff" + text, valid | st.just("{}"))
+    # deep nesting only far past the recursion limit: near it, whether a
+    # decode fails depends on the depth of the calling stack
+    depths = st.integers(0, 40) | st.just(100_000)
+    nested = st.builds(
+        lambda depth, closed: "[" * depth + ("]" * depth if closed else ""),
+        depths, st.booleans(),
+    ) | st.builds(lambda depth, doc: json.dumps(doc)[:-1] + ', "x": ' + "[" * depth
+                  + "]" * depth + "}", depths, st.sampled_from(docs))
+    long_int = st.builds(
+        lambda text, digits: text.replace('"genus": ', '"genus": ' + "7" * digits, 1),
+        valid, st.sampled_from([4299, 4300, 5000]),
+    )
+    return (valid | field_changed | truncated | trailing | bom | nested | long_int).filter(
+        lambda line: "\n" not in line and line.strip()
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reader_lines())
+def test_reader_matches_json_loads(line):
+    # the reader decodes with raw_decode; json.loads of the stripped line,
+    # then _record_from_doc, is the oracle for both records and messages
+    text = line.strip()
+    try:
+        expected = _record_from_doc(json.loads(text))
+    except (ValueError, RecursionError, MalformedRecordError) as err:
+        expected = f"line 1: {err}"
+    try:
+        (got,) = read_records(io.StringIO(line + "\n"))
+    except MalformedRecordError as err:
+        got = str(err)
+    assert got == expected
 
 
 big_ints = st.integers(-(10**40), 10**40)

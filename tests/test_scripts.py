@@ -1,5 +1,6 @@
 """Command-line handling of scripts/run_verification.py, and scripts/cli_digest.py."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -77,21 +78,27 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("nsg from ")
     lines = captured.out.splitlines()
-    assert len(lines) == 38
+    assert len(lines) == 42
     digests = {}
     for line in lines:
-        code, sha, *argv = line.split(" ")
-        assert argv[-2] == "--format" and len(sha) == 64
-        digests[tuple(argv)] = code, sha
-    assert len(digests) == 38
+        code, out_sha, err_sha, *argv = line.split(" ")
+        assert argv[-2] == "--format" and len(out_sha) == len(err_sha) == 64
+        digests[tuple(argv)] = code, out_sha, err_sha
+    assert len(digests) == 42
+    empty = hashlib.sha256(b"").hexdigest()
     for (generators, fmt), sha in INFO_SHA256.items():
-        assert digests["info", generators, "--format", fmt] == ("0", sha)
+        assert digests["info", generators, "--format", fmt] == ("0", sha, empty)
+    for command in (("enumerate", "--max-genus", "8"), ("verify", "--max-genus", "10")):
+        for fmt in ("json", "text"):
+            assert digests[(*command, "--format", fmt)][0] == "0"
     # the commands that exit 1: an ineligible lambda for both gluing
-    # commands, and a left side failing star for inductive
-    failing = {argv[:-2] for argv, (code, _) in digests.items() if code != "0"}
+    # commands, and a left side failing star for inductive; they alone
+    # write to stderr
+    failing = {argv[:-2] for argv, (code, _, _) in digests.items() if code != "0"}
     assert failing == {
         ("glue", "2,3", "2,3", "--lambda", "3", "--mu", "5"),
         ("inductive", "2,3", "2,3", "--lambda", "3", "--mu", "5"),
         ("inductive", "3,5", "4,6,9", "--lambda", "9", "--mu", "10"),
     }
-    assert {code for code, _ in digests.values()} == {"0", "1"}
+    assert {code for code, _, _ in digests.values()} == {"0", "1"}
+    assert all((err_sha == empty) == (code == "0") for code, _, err_sha in digests.values())
