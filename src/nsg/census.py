@@ -23,11 +23,13 @@ one JSON object per line with a fixed field set:
     generators, genus, frobenius, embedding_dim, is_ci, star_verdict,
     d_max, exception
 
-Records are canonically ordered by (genus, generators) and the census runs
-in one process.  A work ceiling (default genus 15, overridable via the
-NSG_WORK_CEILING environment variable or the ceiling argument) bounds what a
-single call may attempt; everything it allows is exhaustive verification up
-to the bound, never a proof beyond it.
+The census runs in one process.  Written records are canonically ordered by
+(genus, generators), so enumerate_records holds them all and sorts them
+once.  The summary does not depend on record order, so verify_star folds
+summarize over the walk and holds no record list.  A work ceiling (default
+genus 15, overridable via the NSG_WORK_CEILING environment variable or the
+ceiling argument) bounds what a single call may attempt; everything it
+allows is exhaustive verification up to the bound, never a proof beyond it.
 """
 
 from __future__ import annotations
@@ -233,6 +235,11 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
     the verdict their tag promises, and stays empty unless the
     classification itself is wrong.  A record whose genus lies outside
     0..bound raises ValueError.
+
+    Any order of the same records gives the same summary: the counts are
+    sums, and both lists are collected as (genus, generators) keys, which
+    are unique per semigroup, and sorted at the end into canonical order.
+    So the summary can be folded over the walk, which is not canonical.
     """
     per_genus = [0] * (bound + 1)
     total = 0
@@ -250,23 +257,28 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
         if record.is_ci:
             ci_count += 1
         if record.exception in EXCEPTION_TAGS:
-            exceptions.append(record.generators)
+            exceptions.append((record.genus, record.generators))
         if record.star.verdict is not expected_verdict(record.exception):
-            counterexamples.append(record.generators)
+            counterexamples.append((record.genus, record.generators))
     return VerificationSummary(
         bound=bound,
         total=total,
         ci_count=ci_count,
-        exceptions_found=tuple(exceptions),
-        counterexamples=tuple(counterexamples),
+        exceptions_found=tuple(gens for _, gens in sorted(exceptions)),
+        counterexamples=tuple(gens for _, gens in sorted(counterexamples)),
         per_genus=tuple(per_genus),
     )
 
 
 def verify_star(max_genus: int, *, ceiling: int | None = None) -> VerificationSummary:
-    """Exhaustively classify star behavior for every genus <= max_genus."""
-    records = enumerate_records(max_genus, ceiling=ceiling)
-    return summarize(records, max_genus)
+    """Exhaustively classify star behavior for every genus <= max_genus.
+
+    The bound is checked first; then summarize folds over the records in
+    walk order, one at a time, so no record list is held or sorted and the
+    memory is the walk's stack.
+    """
+    walk = enumerate_semigroups(max_genus, ceiling=ceiling)
+    return summarize(map(record_for, walk), max_genus)
 
 
 def _line(record: CensusRecord) -> str:

@@ -3,6 +3,8 @@
 One subcommand per library operation, each with --format text|json.  Exit
 codes: 0 on success, 1 on domain errors (bad semigroup input, unmet
 hypotheses, IO failures), 2 on usage errors (argparse handles those).
+`verify` also exits 1, after printing its summary, when the summary lists a
+counterexample.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 import json
 import sys
 
-from .census import enumerate_records, summarize, write_records
+from .census import enumerate_records, summarize, verify_star, write_records
 from .core import gap_chunks, make_semigroup, parse_generators
 from .errors import NsgError
 from .gluing import ci_tree, extra_degree, glue
@@ -325,10 +327,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = enumerate_records(args.max_genus)
-    summary = summarize(records, args.max_genus)
+    """Print the verification summary; exit 1 if it lists a counterexample.
+
+    Without --out the summary is folded over the walk (verify_star).  The
+    file needs canonical order, so --out holds and sorts the records.
+    """
     if args.out:
+        records = enumerate_records(args.max_genus)
+        summary = summarize(records, args.max_genus)
         write_records(records, args.out)
+    else:
+        summary = verify_star(args.max_genus)
     if args.format == "text":
         print(f"verification up to genus {summary.bound}")
     _emit(
@@ -344,7 +353,7 @@ def _cmd_verify(args) -> int:
     )
     if args.out and args.format == "text":
         print(f"records written to {args.out}")
-    return 0
+    return 1 if summary.counterexamples else 0
 
 
 @functools.cache

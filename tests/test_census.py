@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -510,6 +511,32 @@ def test_known_counts_through_genus_eight():
     summary = verify_star(8)
     assert summary.per_genus == tuple(KNOWN_COUNTS)
     assert summary.counterexamples == ()
+
+
+def test_summary_does_not_depend_on_record_order():
+    records = enumerate_records(8)
+    # two mis-tagged records of different genus, so the counterexample list
+    # has an order to keep as well
+    forged = {
+        (2, 3): ExceptionClass.SATISFIES,
+        (3, 4, 5): ExceptionClass.THREE_FOUR,
+    }
+    records = [
+        dataclasses.replace(r, exception=forged[r.generators]) if r.generators in forged else r
+        for r in records
+    ]
+    canonical = summarize(records, 8)
+    assert canonical.counterexamples == ((2, 3), (3, 4, 5))
+    shuffled = list(records)
+    random.Random(1701).shuffle(shuffled)
+    assert shuffled != records
+    assert summarize(reversed(records), 8) == canonical
+    assert summarize(shuffled, 8) == canonical
+
+
+def test_verify_star_folds_the_walk_to_the_canonical_summary():
+    for genus in range(11):
+        assert verify_star(genus) == summarize(enumerate_records(genus), genus), genus
 
 
 def test_summarize_flags_verdict_tag_disagreement():

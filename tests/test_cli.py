@@ -11,9 +11,19 @@ from pathlib import Path
 import pytest
 
 import nsg
+import nsg.census
+import nsg.cli
 
-from nsg import enumerate_records, read_records, record_to_doc, write_records
-from nsg.census import ENV_WORK_CEILING
+from nsg import (
+    ExceptionClass,
+    enumerate_records,
+    read_records,
+    record_to_doc,
+    summarize,
+    verify_star,
+    write_records,
+)
+from nsg.census import DEFAULT_WORK_CEILING, ENV_WORK_CEILING
 from nsg.cli import build_parser, run
 
 from test_acceptance import NDJSON_SHA256
@@ -305,9 +315,90 @@ def test_verify_json(capsys):
 
 def test_verify_writes_records(tmp_path, capsys):
     target = tmp_path / "verified.ndjson"
-    code, out, _ = run_cli(capsys, "verify", "--max-genus", "2", "--out", str(target))
-    assert code == 0
-    assert len(list(read_records(target))) == 4
+    code, out, err = run_cli(capsys, "verify", "--max-genus", "3", "--out", str(target))
+    assert (code, err) == (0, "")
+    assert out.startswith("verification up to genus 3\n")
+    assert out.endswith(f"records written to {target}\n")
+    assert list(read_records(target)) == enumerate_records(3)
+
+
+def test_verify_small_sweep_succeeds(tmp_path, capsys):
+    target = tmp_path / "census.ndjson"
+    code, out, err = run_cli(capsys, "verify", "--max-genus", "3", "--out", str(target))
+    assert (code, err) == (0, "")
+    assert "total:           8\n" in out
+    assert "counterexamples: none\n" in out
+    assert len(target.read_text().splitlines()) == 8
+
+
+def test_verify_usage_error_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-genus", "two")
+    assert (code, out) == (2, "")
+    assert "--max-genus" in err
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ("-1", "error: max_genus must be >= 0, got -1\n"),
+        (
+            str(DEFAULT_WORK_CEILING + 1),
+            f"error: genus bound {DEFAULT_WORK_CEILING + 1} exceeds the work ceiling "
+            f"{DEFAULT_WORK_CEILING}\n",
+        ),
+    ],
+    ids=["negative", "over-ceiling"],
+)
+def test_verify_domain_errors_exit_one(bound, message, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_WORK_CEILING, raising=False)
+    assert run_cli(capsys, "verify", "--max-genus", bound) == (1, "", message)
+
+
+def test_verify_unwritable_out_exits_one(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "census.ndjson"
+    code, out, err = run_cli(capsys, "verify", "--max-genus", "2", "--out", str(missing))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+# sha256 of the stdout of `nsg verify --max-genus 10`, as printed from the
+# summary of the sorted record list
+VERIFY_10_SHA256 = {
+    "json": "dd11665d0968922428c9fb8ad7c32da224184f8ca3fb09524b53197fa35b8d99",
+    "text": "97016325ddc5872b623df157c8eadc09e40e6aaf1220fd5add70746ed089039c",
+}
+
+
+def test_verify_without_out_builds_no_record_list(capsys, monkeypatch):
+    expected = summarize(enumerate_records(10), 10)
+
+    def trap(*args, **kwargs):
+        raise AssertionError("enumerate_records called")
+
+    monkeypatch.setattr(nsg.census, "enumerate_records", trap)
+    monkeypatch.setattr(nsg.cli, "enumerate_records", trap)
+    assert verify_star(10) == expected
+    for fmt, sha in VERIFY_10_SHA256.items():
+        code, out, err = run_cli(capsys, "verify", "--max-genus", "10", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+def test_verify_exits_one_on_a_counterexample(capsys, monkeypatch):
+    real = nsg.census._pattern_class
+
+    def mistag(semigroup, report):
+        if semigroup.generators == (2, 3):
+            return ExceptionClass.SATISFIES
+        return real(semigroup, report)
+
+    monkeypatch.setattr(nsg.census, "_pattern_class", mistag)
+    code, out, err = run_cli(capsys, "verify", "--max-genus", "2", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "bound": 2, "total": 4, "ci_count": 3, "exceptions_found": [[2, 5]],
+        "counterexamples": [[2, 3]], "per_genus": [1, 1, 2],
+    }
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,73 +1,12 @@
-"""Command-line handling of scripts/run_verification.py, and scripts/cli_digest.py."""
+"""The digest lines of scripts/cli_digest.py."""
 
 import hashlib
 import importlib.util
 from pathlib import Path
 
-import pytest
-
-from nsg.census import DEFAULT_WORK_CEILING, ENV_WORK_CEILING
-
 from test_cli import INFO_SHA256
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SCRIPT = SCRIPTS / "run_verification.py"
-
-
-@pytest.fixture(scope="module")
-def run_verification():
-    spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
-
-
-@pytest.mark.parametrize(
-    "argv, complaint",
-    [(["--max-genus", "two"], "--max-genus"), (["--jobs", "2"], "--jobs")],
-)
-def test_usage_errors_exit_two(run_verification, argv, complaint, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_verification(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert complaint in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--max-genus", "-1"], "error: max_genus must be >= 0, got -1\n"),
-        (
-            ["--max-genus", str(DEFAULT_WORK_CEILING + 1)],
-            f"error: genus bound {DEFAULT_WORK_CEILING + 1} exceeds the work ceiling "
-            f"{DEFAULT_WORK_CEILING}\n",
-        ),
-    ],
-)
-def test_domain_errors_exit_one(run_verification, argv, message, capsys, monkeypatch):
-    monkeypatch.delenv(ENV_WORK_CEILING, raising=False)
-    assert run_verification(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == message
-
-
-def test_unwritable_out_exits_one(run_verification, tmp_path, capsys):
-    missing = tmp_path / "no-such-dir" / "census.ndjson"
-    assert run_verification(["--max-genus", "2", "--out", str(missing)]) == 1
-    captured = capsys.readouterr()
-    assert "no counterexamples" in captured.out
-    assert captured.err.startswith("error: ")
-
-
-def test_small_sweep_succeeds(run_verification, tmp_path, capsys):
-    out = tmp_path / "census.ndjson"
-    assert run_verification(["--max-genus", "3", "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "wrote 8 records" in captured.out
-    assert captured.err == ""
 
 
 def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
