@@ -13,15 +13,17 @@ comparing them is one diff:
          <(PYTHONPATH=src python3 scripts/cli_digest.py)
 
 The list is the benchmark's large-single ladder of eight commands plus
-info 4,6,9, info 2,2001 and info 101,1000,5000, then glue and inductive on
-four gluings, then the census commands enumerate --max-genus 8 and verify
---max-genus 10, each in json and in text.  The ladder's two info inputs
-have long gap runs and the last two short ones, so both of gap_chunks's
-routes are covered.  The gluings take their multiplicity from the left
-side, from the right side, and with N as the right side, and the last has
-an ineligible lambda and exits 1; inductive exits 1 on the first too, whose
-left side fails the star condition.  The list is fixed here, so that
-digests taken at different commits stay comparable.
+info 4,6,9, info 2,2001 and info 101,1000,5000; hypotheses on N, a
+two-generated, a CI and a non-CI semigroup, and star, classify and ci-tree
+on that non-CI one, 3,5,7; then glue and inductive on four gluings, then
+the census commands enumerate --max-genus 8 and verify --max-genus 10, each
+in json and in text, so every subcommand appears.  The ladder's two info
+inputs have long gap runs and the last two short ones, so both of
+gap_chunks's routes are covered.  The gluings take their multiplicity from
+the left side, from the right side, and with N as the right side, and the
+last has an ineligible lambda and exits 1; inductive exits 1 on the first
+too, whose left side fails the star condition.  The list is fixed here, so
+that digests taken at different commits stay comparable.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ SINGLE = (
     ("info", "4,6,9"),
     ("info", "2,2001"),
     ("info", "101,1000,5000"),
+    ("hypotheses", "1"),
+    ("hypotheses", "2,3"),
+    ("hypotheses", "4,6,9"),
+    ("hypotheses", "3,5,7"),
+    ("star", "3,5,7"),
+    ("classify", "3,5,7"),
+    ("ci-tree", "3,5,7"),
 )
 # (left, right, lambda, mu) of mu*left + lambda*right
 GLUINGS = (

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .core import AperyTable, NumericalSemigroup, make_semigroup
+from .core import AperyTable, NumericalSemigroup, _build, make_semigroup
 from .errors import BoundTooLargeError, ConsistencyError, MalformedRecordError
 from .star import (
     EXCEPTION_TAGS,
@@ -110,7 +110,8 @@ def _remove_generator(
 
     For g = m the semigroup is ordinary, {0} and every integer >= m, and the
     child {0} and every integer > m is built from its generators
-    m + 1, ..., 2m + 1.  Otherwise the child T = S - {g} is read off S:
+    m + 1, ..., 2m + 1, coprime as listed, by _build.  Otherwise the child
+    T = S - {g} is read off S:
 
     * Apery table: the entry of S at g mod m was g, since g - m is not in S
       when g is a minimal generator other than m.  Every other entry is an
@@ -141,7 +142,7 @@ def _remove_generator(
     """
     m = semigroup.multiplicity
     if g == m:
-        return make_semigroup(range(m + 1, 2 * m + 2))
+        return _build(tuple(range(m + 1, 2 * m + 2)))
     entries = list(semigroup.apery.entries)
     entries[g % m] = g + m
     generators = [a for a in semigroup.generators if a != g]
@@ -168,6 +169,15 @@ def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigro
     The stack holds the pending removals (parent, g) along the current
     path.  They are pushed in descending g, so children come in ascending
     removed generator, and each child is built only when it is popped.
+
+    So each genus comes out in strictly descending generator order.  Proof:
+    below S - {g} only elements above F >= g are removed, so its descendants
+    share the generators P of S below g and have g as a gap.  Let two nodes
+    of one genus descend from S - {g1} and S - {g2}, g1 < g2, for their
+    lowest common ancestor S; the g1 one, D, comes first.  The other, E,
+    keeps g1, so its generators start P, g1.  After P, D has a generator
+    above g1, so D > E, or none, so D = <P> lies in E without g1 and has
+    the larger genus.  For g1 = m, P is empty.
     """
     node = root
     stack = []
@@ -194,7 +204,8 @@ def _check_bound(max_genus: int, ceiling: int | None) -> None:
 def enumerate_semigroups(
     max_genus: int, *, ceiling: int | None = None
 ) -> Iterator[NumericalSemigroup]:
-    """Every numerical semigroup of genus <= max_genus, depth-first."""
+    """Every numerical semigroup of genus <= max_genus, depth-first; within
+    a genus in strictly descending generator order (proof at _walk)."""
     _check_bound(max_genus, ceiling)
     return _walk(natural_numbers(), max_genus)
 

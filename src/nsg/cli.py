@@ -429,10 +429,7 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.handler(args)
-    except NsgError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (NsgError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -39,9 +39,10 @@ serves both make_semigroup and apery_set, and drops non-minimal generators.
 
 Everything is exact integer arithmetic; construction does all the work once
 and the resulting objects are immutable.  make_semigroup validates its input
-on every call, then builds through one 4096-entry lru cache keyed by the
-sorted distinct entries, so equal generator sets share one object:
-find_gluings rebuilding a donor as a quotient pays for no construction.
+on every call, then builds through one 4096-entry lru cache, _build, keyed by
+the sorted distinct entries, so equal generator sets share one object.  Lists
+already valid as made (ci_tree's quotients, the census's ordinary children)
+go to _build directly.
 A glued semigroup does not come this way: glue sums its table from the two
 sides by the gluing Apery lemma (proof at gluing._glued) and hands it to
 the same _from_table that finishes every build.
@@ -55,7 +56,7 @@ from functools import cache, lru_cache
 from itertools import compress
 from math import gcd
 
-from .errors import ConsistencyError, EmptyInputError, NotAnElementError, NotCoprimeError
+from .errors import EmptyInputError, NotAnElementError, NotCoprimeError
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def _apery(gens, m: int) -> tuple[list[int], tuple[int, ...]]:
     The table so far is Ap(<m, kept>, m), which is closed under adding its
     elements, so an entry a >= dist[a mod m] it already reaches adds nothing
     and is skipped (every multiple of m is, as dist[0] = 0).  Over ascending
-    generators above m the kept ones are exactly the minimal ones.
+    generators above m the kept ones are exactly the minimal ones.  No entry
+    stays None: callers pass m and gens of gcd 1, whose sums reach all classes.
     """
     dist: list[int | None] = [None] * m
     dist[0] = 0
@@ -150,8 +152,6 @@ def _apery(gens, m: int) -> tuple[list[int], tuple[int, ...]]:
             continue
         kept.append(a)
         _add_generator(dist, a)
-    if None in dist:
-        raise ConsistencyError(f"unreachable residue mod {m} from generators {[m, *kept]}")
     return kept, tuple(dist)  # type: ignore[arg-type]
 
 
@@ -191,7 +191,7 @@ def _add_generator(dist: list[int | None], a: int) -> None:
 def contains(semigroup: NumericalSemigroup, n: int) -> bool:
     if n < 0:
         return False
-    return n >= semigroup.apery.entry(n % semigroup.multiplicity)
+    return n >= semigroup.apery.entries[n % semigroup.multiplicity]
 
 
 def apery_set(semigroup: NumericalSemigroup, m: int) -> AperyTable:

@@ -1,8 +1,12 @@
 """Exception types raised by the library.
 
 Domain errors (bad input, unmet hypotheses) derive from NsgError so callers
-can catch them uniformly.  ConsistencyError is different: it signals that two
-independent internal computations disagreed, which is a bug, never bad input.
+can catch them uniformly.  ConsistencyError is different: two computations
+of one fact disagreed.  Proven facts are not re-checked at run time, so it
+is raised only by extra_degree (the caller's glued is not that gluing: bad
+input), classify_exception (the e >= 3 tags are checked by exhaustion only
+up to the census bound), check_star_gluing (ci_tree can return None) and
+record_for, which rewraps it naming the semigroup.
 """
 
 

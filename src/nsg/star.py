@@ -116,7 +116,7 @@ def star_report(semigroup: NumericalSemigroup) -> StarReport:
     tree = None if semigroup.embedding_dim == 1 else ci_tree(semigroup)
     if tree is None:
         return _undefined_report(semigroup.frobenius)
-    d_max = max(tree.degrees)
+    d_max = tree.degrees[-1]  # the degrees are stored ascending
     margin = 2 * semigroup.frobenius - d_max
     verdict = StarVerdict.SATISFIED if margin > 0 else StarVerdict.FAILED
     return StarReport(semigroup.frobenius, d_max, verdict, margin)

@@ -69,6 +69,16 @@ def test_walk_matches_recursive_preorder_through_genus_15():
     assert len(walked) == 6964
 
 
+def test_walk_gives_each_genus_in_descending_generator_order_through_genus_15():
+    # proof at census._walk; read in reverse, each genus is in canonical order
+    by_genus = [[] for _ in range(16)]
+    for s in enumerate_semigroups(15):
+        by_genus[s.genus].append(s.generators)
+    for genus, listed in enumerate(by_genus):
+        assert all(a > b for a, b in zip(listed, listed[1:])), genus
+    assert sum(map(len, by_genus)) == 6964
+
+
 def test_walk_counts_match_a007323_for_genus_16_to_18():
     per_genus = [0] * 19
     for s in enumerate_semigroups(18, ceiling=18):

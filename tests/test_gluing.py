@@ -27,7 +27,7 @@ from nsg import (
 )
 import nsg.gluing as gluing
 from nsg.core import _build
-from nsg.gluing import _ci_tree, _glued
+from nsg.gluing import _ci_tree
 
 from oracles import naive_frobenius
 
@@ -111,23 +111,6 @@ def test_glue_by_the_apery_lemma_matches_make_semigroup():
     assert with_natural["left"] > 0 and with_natural["right"] > 0
 
 
-def test_glued_checks_that_the_scaled_generators_are_minimal():
-    # glue's eligibility checks make this a theorem; past them, a lambda or
-    # mu that is a generator leaves a scaled generator that is not minimal,
-    # and the lookups in the lemma table catch it, a sum and a repeat alike
-    natural, two_three = make_semigroup([1]), make_semigroup([2, 3])
-    with pytest.raises(ConsistencyError) as sum_of_two:
-        _glued(natural, two_three, 1, 5)
-    assert str(sum_of_two.value) == (
-        "scaled generators [2, 3, 5] are not minimal: 5 = 2 + 3 in 1*<2,3> + 5*<1>"
-    )
-    with pytest.raises(ConsistencyError) as repeat:
-        _glued(two_three, two_three, 2, 3)
-    assert str(repeat.value) == (
-        "scaled generators [4, 6, 6, 9] are not minimal: 6 = 6 + 0 in 2*<2,3> + 3*<2,3>"
-    )
-
-
 def test_glue_rejects_ineligible_mu():
     s = make_semigroup([2, 3])
     with pytest.raises(MuNotEligibleError):
@@ -202,6 +185,27 @@ def test_ci_tree_builds_only_the_first_split():
         _ci_tree.cache_clear()
         assert ci_tree(s) is not None
         assert _build.cache_info().misses == builds, gens
+
+
+def test_split_quotients_are_the_objects_make_semigroup_returns():
+    # _splits hands its quotients to _build directly: each must come back
+    # from make_semigroup as the same object, so its generator tuple is the
+    # cache key and its generators are minimal; both caches start cold, so
+    # no tree outlives the build of its quotients
+    _build.cache_clear()
+    _ci_tree.cache_clear()
+    quotients = 0
+    for s in enumerate_semigroups(12):
+        pending = [ci_tree(s)]
+        while pending:
+            node = pending.pop()
+            if node is None or node.is_leaf:
+                continue
+            for q in (node.split.left_quotient, node.split.right_quotient):
+                assert make_semigroup(q.generators) is q, (s, q)
+                quotients += 1
+            pending += [node.left, node.right]
+    assert quotients == 162
 
 
 def test_ci_tree_rejects_by_the_prefilter_before_its_cache(monkeypatch):
@@ -338,6 +342,32 @@ def test_three_gen_family_members_are_ci():
         assert s.embedding_dim == 3
         assert is_complete_intersection(s)
         assert a_invariant(s) == s.frobenius
+
+
+def test_three_gen_family_lists_exactly_its_minimal_generators():
+    # every admissible (m1, m2, a, b, c) with m1, m2 <= 7, a <= 6, b, c <= 4;
+    # minimality by brute force: no generator is x*y + k*z for the other two
+    def combination(n, y, z):
+        return any((n - x * y) % z == 0 for x in range(n // y + 1))
+
+    members = 0
+    for m1 in range(2, 8):
+        for m2 in range(2, 8):
+            for a in range(2, 7):
+                for b in range(5):
+                    for c in range(5):
+                        third = b * m1 + c * m2
+                        if gcd(m1, m2) != 1 or b + c < 2 or gcd(a, third) != 1:
+                            continue
+                        listed = (a * m1, a * m2, third)
+                        assert three_gen_family(m1, m2, a, b, c).generators == tuple(
+                            sorted(listed)
+                        )
+                        for i, n in enumerate(listed):
+                            y, z = listed[i - 1], listed[i - 2]
+                            assert not combination(n, y, z), (m1, m2, a, b, c)
+                        members += 1
+    assert members == 1246
 
 
 def test_three_gen_family_constraints():

@@ -1,9 +1,11 @@
 """The digest lines of scripts/cli_digest.py."""
 
+import argparse
 import hashlib
 import importlib.util
 from pathlib import Path
 
+from nsg.cli import build_parser
 from test_cli import INFO_SHA256
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -17,13 +19,18 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("nsg from ")
     lines = captured.out.splitlines()
-    assert len(lines) == 42
+    assert len(lines) == 56
     digests = {}
     for line in lines:
         code, out_sha, err_sha, *argv = line.split(" ")
         assert argv[-2] == "--format" and len(out_sha) == len(err_sha) == 64
         digests[tuple(argv)] = code, out_sha, err_sha
-    assert len(digests) == 42
+    assert len(digests) == 56
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert {argv[0] for argv in digests} == set(subcommands.choices)
     empty = hashlib.sha256(b"").hexdigest()
     for (generators, fmt), sha in INFO_SHA256.items():
         assert digests["info", generators, "--format", fmt] == ("0", sha, empty)
