@@ -15,9 +15,12 @@ comparing them is one diff:
 The list is the benchmark's large-single ladder of eight commands plus
 info 4,6,9, info 2,2001 and info 101,1000,5000; hypotheses on N, a
 two-generated, a CI and a non-CI semigroup, and star, classify and ci-tree
-on that non-CI one, 3,5,7; then glue and inductive on four gluings, then
-the census commands enumerate --max-genus 8 and verify --max-genus 10, each
-in json and in text, so every subcommand appears.  The ladder's two info
+on that non-CI one, 3,5,7; ci-tree on 4,6,15 (two splits, left parts of
+sizes 1 and 2), 6,8,9 (two splits of one size) and the non-CI
+8,9,10,12,14 (one split), so the tree shows which split comes first;
+then glue and inductive on four gluings, then the census commands
+enumerate --max-genus 8 and verify --max-genus 10, each in json and in
+text, so every subcommand appears.  The ladder's two info
 inputs have long gap runs and the last two short ones, so both of
 gap_chunks's routes are covered.  The gluings take their multiplicity from
 the left side, from the right side, and with N as the right side, and the
@@ -55,6 +58,9 @@ SINGLE = (
     ("star", "3,5,7"),
     ("classify", "3,5,7"),
     ("ci-tree", "3,5,7"),
+    ("ci-tree", "4,6,15"),
+    ("ci-tree", "6,8,9"),
+    ("ci-tree", "8,9,10,12,14"),
 )
 # (left, right, lambda, mu) of mu*left + lambda*right
 GLUINGS = (

@@ -27,14 +27,18 @@ has (number of generators - 1) relations, and equivalently (apart from N
 itself, which is trivially one) when it is a gluing of two smaller complete
 intersections (Delorme, 1976).  ci_tree builds that recursive certificate and
 is_complete_intersection decides by it alone; the tests check the relation
-count against it.  The first gluing split of a semigroup decides: its
-quotients are complete intersections exactly when the semigroup is one, by
-the relation count of the gluing (proof at ci_tree).  Every complete
-intersection has multiplicity at least 2^(e-1) for e generators, so ci_tree
-rejects the rest before it looks for a split, and before its cache.  The
-relation degrees of a complete intersection are read off its tree by the
-first identity above, once per tree node; no presentation is built, and
-the tests compare the two.
+count against it.  The left part of a split, the one holding the
+multiplicity m, is the set of generators divisible by its own gcd, so the
+splits are searched over the divisors of m, not over all partitions of the
+generators, and integer tests discard most candidates before their
+quotients are built (proof at _splits).  The first gluing split of a
+semigroup decides: its quotients are complete intersections exactly when
+the semigroup is one, by the relation count of the gluing (proof at
+ci_tree).  Every complete intersection has multiplicity at least 2^(e-1)
+for e generators, so ci_tree rejects the rest before it looks for a split,
+and before its cache.  The relation degrees of a complete intersection are
+read off its tree by the first identity above, once per tree node; no
+presentation is built, and the tests compare the two.
 
 For complete intersections the a-invariant is sum(relation degrees) minus
 sum(generators), and it coincides with the Frobenius number.
@@ -45,8 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from .core import NumericalSemigroup, _build, _from_table, apery_set, contains, make_semigroup
 from .errors import (
@@ -234,45 +237,72 @@ def _glued(
 
 
 def _splits(semigroup: NumericalSemigroup) -> Iterator[GluingSplit]:
-    """The gluing splits of the semigroup, lazily, in find_gluings order."""
+    """The gluing splits of the semigroup, lazily, in find_gluings order.
+
+    Only the divisibility classes L_d = gens & dZ, for the divisors d >= 2
+    of m = gens[0], can be left parts.  Lemma: in an eligible split
+    S = mu*S1 + lam*S2 of the minimal generators into L and R, with
+    mu = gcd L, lam = gcd R, gcd(lam, mu) = 1, lam a non-generator element
+    of S1 and mu one of S2, L = gens & muZ and R = gens & lamZ.  Proof: the
+    quotient generators stay minimal (comment below), so b in R is lam*b'
+    with b' a minimal generator of S2.  If mu | b, then mu | b' as
+    gcd(lam, mu) = 1, so b' = k*mu: k = 1 makes mu a generator of S2, and
+    k >= 2 writes b' = mu + (k - 1)*mu as a sum of two nonzero elements of
+    S2; both contradict the hypotheses.  So no b in R lies in muZ, and by
+    symmetry no a in L in lamZ.  As m is in L, mu divides m, mu >= 2 as a
+    non-generator element of S2, and L = L_mu.  Conversely each class is
+    L_d = gens & gcd(L_d)Z, as d | gcd(L_d), so it is one candidate
+    whichever d names it, with the rest of gens as its right part.  There
+    are at most tau(m) - 1 candidates, against the 2^(e-1) partitions with
+    m on the left, and finding them costs trial division to sqrt(m) plus
+    O(e) per divisor.  They are taken by size then content of the left
+    part, the order of combinations over gens[1:].
+
+    Before its quotients are built, a class is skipped on integer tests
+    that every eligible split passes: gcd(mu, lam) = 1; no a in L divisible
+    by lam, the lemma's R = gens & lamZ (no b in R is divisible by mu, as
+    d | mu and b is not in L_d); and lam >= 2*m1 and mu >= 2*m2, where
+    m1 = m/mu and m2 = min(R)/lam are the multiplicities of the quotients,
+    since a non-generator element >= 2 of a semigroup is a sum of two
+    nonzero elements (as at ci_tree).  lam >= 2*m1 implies lam >= 2.
+    """
     gens = semigroup.generators
-    # combinations come in lexicographic order of the sorted generators, so
-    # the splits are already ordered by size then content of the left part
-    for k in range(len(gens) - 1):
-        for chosen in combinations(gens[1:], k):
-            left_part = (gens[0], *chosen)
-            right_part = tuple(b for b in gens[1:] if b not in chosen)
-            mu = gcd(*left_part)
-            lam = gcd(*right_part)
-            if mu < 2 or lam < 2 or gcd(mu, lam) != 1:
-                continue
-            # the quotient generators a/mu stay minimal, or a would be a sum of
-            # other generators of the semigroup; likewise b/lam.  So e1 + e2 = e,
-            # which the proofs at ci_tree and CITree.degrees use.  Sorted,
-            # distinct and of gcd 1 as divided, they need no make_semigroup
-            left_quotient = _build(tuple(a // mu for a in left_part))
-            right_quotient = _build(tuple(b // lam for b in right_part))
-            if (
-                _non_generator_element(left_quotient, lam)
-                and _non_generator_element(right_quotient, mu)
-            ):
-                yield GluingSplit(
-                    left_part=left_part,
-                    right_part=right_part,
-                    mu=mu,
-                    lam=lam,
-                    left_quotient=left_quotient,
-                    right_quotient=right_quotient,
-                )
+    m = gens[0]
+    divisors = {k for d in range(1, isqrt(m) + 1) if m % d == 0 for k in (d, m // d)} - {1}
+    classes = {tuple(a for a in gens if a % d == 0) for d in divisors} - {gens}
+    for left_part in sorted(classes, key=lambda part: (len(part), part)):
+        mu = gcd(*left_part)
+        right_part = tuple(b for b in gens if b % mu)
+        lam = gcd(*right_part)
+        if (
+            lam < 2 * (m // mu)
+            or mu < 2 * (right_part[0] // lam)
+            or gcd(mu, lam) != 1
+            or any(a % lam == 0 for a in left_part)
+        ):
+            continue
+        # the quotient generators a/mu stay minimal, or a would be a sum of
+        # other generators of the semigroup; likewise b/lam.  So e1 + e2 = e,
+        # which the proofs at ci_tree and CITree.degrees use.  Sorted,
+        # distinct and of gcd 1 as divided, they need no make_semigroup
+        left_quotient = _build(tuple(a // mu for a in left_part))
+        right_quotient = _build(tuple(b // lam for b in right_part))
+        if (
+            _non_generator_element(left_quotient, lam)
+            and _non_generator_element(right_quotient, mu)
+        ):
+            yield GluingSplit(left_part, right_part, mu, lam, left_quotient, right_quotient)
 
 
 def find_gluings(semigroup: NumericalSemigroup) -> list[GluingSplit]:
     """Every split of the minimal generators realizing the semigroup as a gluing.
 
-    Each two-part partition is inspected once, with the part containing the
-    smallest generator on the left; results are ordered by size then content
-    of the left part.  A split qualifies when both gcds are >= 2 and the
-    cross-wise eligibility of lam and mu holds.
+    The part containing the smallest generator is on the left, and results
+    are ordered by size then content of the left part.  A split qualifies
+    when both gcds are >= 2 and coprime and the cross-wise eligibility of
+    lam and mu holds.  Every qualifying partition is listed, though only the
+    divisibility classes of the smallest generator are inspected; the proof
+    that no other partition qualifies is at _splits.
     """
     return list(_splits(semigroup))
 
@@ -324,7 +354,7 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     they settle, most of any census, are neither hashed nor kept.
     """
     if semigroup.embedding_dim == 1:
-        return CITree(semigroup=semigroup, split=None, left=None, right=None)
+        return CITree(semigroup, None, None, None)
     if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
         return None
     return _ci_tree(semigroup)
@@ -342,7 +372,7 @@ def _ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     right = ci_tree(split.right_quotient)
     if right is None:
         return None
-    return CITree(semigroup=semigroup, split=split, left=left, right=right)
+    return CITree(semigroup, split, left, right)
 
 
 def is_complete_intersection(semigroup: NumericalSemigroup) -> bool:

@@ -2,6 +2,7 @@
 
 import weakref
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -29,7 +30,8 @@ import nsg.gluing as gluing
 from nsg.core import _build
 from nsg.gluing import _ci_tree
 
-from oracles import naive_frobenius
+from oracles import naive_frobenius, naive_member
+from test_presentations import seeded_gluings
 
 
 def test_glue_golden_two_copies_of_two_three():
@@ -152,6 +154,53 @@ def test_find_gluings_none_for_non_ci():
     assert find_gluings(make_semigroup([1])) == []
 
 
+def _sum_of_two_nonzero(generators, x):
+    # x = a + y with a a listed generator and y a nonzero member: exactly the
+    # members x >= 2 of <generators> that are no minimal generator
+    return any(x - a > 0 and naive_member(generators, x - a) for a in generators)
+
+
+def _partition_splits(gens):
+    # the partition search: every split with gens[0] on the left, in
+    # combinations order, decided by reachability
+    found = []
+    for k in range(len(gens) - 1):
+        for chosen in combinations(gens[1:], k):
+            left = (gens[0], *chosen)
+            right = tuple(b for b in gens[1:] if b not in chosen)
+            mu, lam = gcd(*left), gcd(*right)
+            if mu < 2 or lam < 2 or gcd(mu, lam) != 1:
+                continue
+            if _sum_of_two_nonzero([a // mu for a in left], lam) and _sum_of_two_nonzero(
+                [b // lam for b in right], mu
+            ):
+                found.append((left, right, mu, lam))
+    return found
+
+
+def test_divisor_class_splits_match_the_partition_search():
+    # _splits inspects only the classes gens & dZ for d | m (proof at
+    # _splits); the search over all partitions finds the same splits in the
+    # same order, and each split is the pair of classes of its gcds
+    semigroups = list(enumerate_semigroups(15)) + seeded_gluings()
+    semigroups += [
+        make_semigroup([48, 60, 72, 80, 126, 315]),
+        make_semigroup([110, 120, 176, 180, 210, 264, 495]),
+    ]
+    split_count = several = with_split = 0
+    for s in semigroups:
+        gens = s.generators
+        found = [(x.left_part, x.right_part, x.mu, x.lam) for x in find_gluings(s)]
+        assert found == _partition_splits(gens), gens
+        for left, right, mu, lam in found:
+            assert left == tuple(a for a in gens if a % mu == 0), gens
+            assert right == tuple(b for b in gens if b % lam == 0), gens
+        split_count += len(found)
+        several += len(found) > 1
+        with_split += bool(found)
+    assert (len(semigroups), split_count, several, with_split) == (7066, 312, 61, 234)
+
+
 def test_splits_reconstruct_the_semigroup():
     for gens in [(4, 6, 9), (8, 10, 12, 15), (4, 5, 6), (9, 10, 21)]:
         s = make_semigroup(list(gens))
@@ -174,17 +223,27 @@ def test_ci_tree_golden():
 
 
 def test_ci_tree_builds_only_the_first_split():
-    # with both caches cold, ci_tree builds the quotients of the splits up
-    # to the first one at each node of the tree, and none after it
+    # with both caches cold, ci_tree builds the quotients of the first split
+    # at each node of the tree and nothing else: on these trees the integer
+    # tests of _splits discard every candidate before it, so the builds are
+    # exactly the distinct semigroups of the tree below its root
     for gens, builds in [
-        ([110, 120, 176, 180, 210, 264, 495], 19),
-        ([48, 60, 72, 80, 126, 315], 25),
+        ([110, 120, 176, 180, 210, 264, 495], 5),
+        ([48, 60, 72, 80, 126, 315], 5),
     ]:
         s = make_semigroup(gens)
         _build.cache_clear()
         _ci_tree.cache_clear()
-        assert ci_tree(s) is not None
+        tree = ci_tree(s)
+        assert tree is not None
         assert _build.cache_info().misses == builds, gens
+        below, pending = set(), [tree.left, tree.right]
+        while pending:
+            node = pending.pop()
+            below.add(node.semigroup.generators)
+            if not node.is_leaf:
+                pending += [node.left, node.right]
+        assert len(below) == builds, gens
 
 
 def test_split_quotients_are_the_objects_make_semigroup_returns():
