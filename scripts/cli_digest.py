@@ -15,18 +15,20 @@ comparing them is one diff:
 The list is the benchmark's large-single ladder of eight commands plus
 info 4,6,9, info 2,2001 and info 101,1000,5000; hypotheses on N, a
 two-generated, a CI and a non-CI semigroup, and star, classify and ci-tree
-on that non-CI one, 3,5,7; ci-tree on 4,6,15 (two splits, left parts of
-sizes 1 and 2), 6,8,9 (two splits of one size) and the non-CI
-8,9,10,12,14 (one split), so the tree shows which split comes first;
-then glue and inductive on four gluings, then the census commands
-enumerate --max-genus 8 and verify --max-genus 10, each in json and in
-text, so every subcommand appears.  The ladder's two info
-inputs have long gap runs and the last two short ones, so both of
-gap_chunks's routes are covered.  The gluings take their multiplicity from
-the left side, from the right side, and with N as the right side, and the
-last has an ineligible lambda and exits 1; inductive exits 1 on the first
-too, whose left side fails the star condition.  The list is fixed here, so
-that digests taken at different commits stay comparable.
+on that non-CI one, 3,5,7; star and classify on 4,5,6, whose margin 2 is
+the least of any CI with three or more generators, and on 16,20,24,30,45 =
+8*<2,3> + 5*<4,6,9>, a gluing no inductive branch covers; ci-tree on
+4,6,15 (two splits, left parts of sizes 1 and 2), 6,8,9 (two splits of one
+size) and the non-CI 8,9,10,12,14 (one split), so the tree shows which
+split comes first; then glue and inductive on four gluings, then the census
+commands enumerate --max-genus 8 and verify --max-genus 10, each in json
+and in text, so every subcommand appears.  The ladder's two info inputs
+have long gap runs and the last two short ones, so both of gap_chunks's
+routes are covered.  The gluings take their multiplicity from the left
+side, from the right side, and with N as the right side, and the last has
+an ineligible lambda and exits 1; inductive exits 1 on the first too, whose
+left side fails the star condition.  The list is fixed here, so that
+digests taken at different commits stay comparable.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ SINGLE = (
     ("hypotheses", "3,5,7"),
     ("star", "3,5,7"),
     ("classify", "3,5,7"),
+    ("star", "4,5,6"),
+    ("classify", "4,5,6"),
+    ("star", "16,20,24,30,45"),
+    ("classify", "16,20,24,30,45"),
     ("ci-tree", "3,5,7"),
     ("ci-tree", "4,6,15"),
     ("ci-tree", "6,8,9"),

@@ -41,7 +41,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .core import AperyTable, NumericalSemigroup, _build, make_semigroup
-from .errors import BoundTooLargeError, ConsistencyError, MalformedRecordError
+from .errors import BoundTooLargeError, MalformedRecordError
 from .star import (
     EXCEPTION_TAGS,
     ExceptionClass,
@@ -213,21 +213,17 @@ def enumerate_semigroups(
 def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
     # the tag is not checked against the verdict here: summarize() turns a
     # disagreement into a counterexample, so the sweep keeps going
-    try:
-        star = star_report(semigroup)
-        tag = _pattern_class(semigroup, star)
-        return CensusRecord(
-            semigroup.generators,
-            semigroup.genus,
-            semigroup.frobenius,
-            semigroup.embedding_dim,
-            tag is not ExceptionClass.NOT_CI,
-            star,
-            tag,
-        )
-    except ConsistencyError as err:
-        # name the semigroup, so one `nsg star <generators>` reproduces it
-        raise ConsistencyError(f"census record for {semigroup}: {err}") from err
+    star = star_report(semigroup)
+    tag = _pattern_class(semigroup, star)
+    return CensusRecord(
+        semigroup.generators,
+        semigroup.genus,
+        semigroup.frobenius,
+        semigroup.embedding_dim,
+        tag is not ExceptionClass.NOT_CI,
+        star,
+        tag,
+    )
 
 
 def enumerate_records(max_genus: int, *, ceiling: int | None = None) -> list[CensusRecord]:

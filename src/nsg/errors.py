@@ -3,10 +3,9 @@
 Domain errors (bad input, unmet hypotheses) derive from NsgError so callers
 can catch them uniformly.  ConsistencyError is different: two computations
 of one fact disagreed.  Proven facts are not re-checked at run time, so it
-is raised only by extra_degree (the caller's glued is not that gluing: bad
-input), classify_exception (the e >= 3 tags are checked by exhaustion only
-up to the census bound), check_star_gluing (ci_tree can return None) and
-record_for, which rewraps it naming the semigroup.
+is raised only by extra_degree, when the caller's glued is not the gluing
+of the other arguments: bad input that no proof can rule out.  A test pins
+that no other code raises it.
 """
 
 

@@ -8,12 +8,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nsg.census
 import nsg.star
 from nsg import (
     BoundTooLargeError,
     CensusRecord,
-    ConsistencyError,
     ExceptionClass,
     MalformedRecordError,
     StarReport,
@@ -177,22 +175,6 @@ def test_records_are_canonically_ordered():
     keys = [(r.genus, r.generators) for r in records]
     assert keys == sorted(keys)
     assert len(records) == sum(KNOWN_COUNTS[:6])
-
-
-def test_consistency_error_in_a_sweep_names_the_semigroup(monkeypatch):
-    real_star_report = nsg.census.star_report
-
-    def broken(semigroup):
-        if semigroup.generators == (3, 4, 5):
-            raise ConsistencyError("degree 8 not inherited")
-        return real_star_report(semigroup)
-
-    monkeypatch.setattr(nsg.census, "star_report", broken)
-    with pytest.raises(
-        ConsistencyError, match=r"^census record for <3,4,5>: degree 8 not inherited$"
-    ) as exc:
-        verify_star(3)
-    assert isinstance(exc.value.__cause__, ConsistencyError)
 
 
 def test_one_ci_decision_per_census_record(monkeypatch):

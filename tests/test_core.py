@@ -389,3 +389,25 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_consistency_error_is_raised_only_by_extra_degree():
+    # a glued that is not the gluing of extra_degree's other arguments is bad
+    # input no proof can rule out; every other disagreement is ruled out by a
+    # proof in a docstring, so nothing else may raise ConsistencyError
+    raised, spans = [], {}
+    for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                spans[path.name, node.name] = node.lineno, node.end_lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name == "ConsistencyError":
+                    raised.append((path.name, node.lineno))
+    # the module-level function, not the CITree property of the same name
+    start, end = spans["gluing.py", "extra_degree"]
+    ((module, line),) = raised
+    assert module == "gluing.py" and start <= line <= end

@@ -13,6 +13,7 @@ from nsg import (
     LambdaNotEligibleError,
     StarVerdict,
     check_star_gluing,
+    ci_tree,
     classify_exception,
     enumerate_semigroups,
     hypotheses_report,
@@ -21,6 +22,9 @@ from nsg import (
     small_exceptions,
     star_report,
 )
+
+from oracles import naive_frobenius
+from test_presentations import seeded_gluings
 
 
 def test_star_satisfied_golden():
@@ -189,3 +193,55 @@ def test_hypotheses_report_branches():
             report = hypotheses_report(s)
             assert (report.branch, report.holds) == ("star_condition", True), s
     assert cis == 28
+
+
+def _margin_by_the_recursion(tree):
+    """margin(S) of a tree node from its sides' margins, as in the star
+    module docstring, checking each fact and bound its proof uses; F from
+    the brute-force oracle with F(N) = -1, and None for N."""
+    if tree.is_leaf:
+        return None
+    mu, lam = tree.split.mu, tree.split.lam
+    s1, s2 = tree.left.semigroup, tree.right.semigroup
+    margin1 = _margin_by_the_recursion(tree.left)
+    margin2 = _margin_by_the_recursion(tree.right)
+    f1, f2 = naive_frobenius(s1.generators), naive_frobenius(s2.generators)
+    # facts (b) and (d) of the proof
+    assert lam >= 2 * s1.multiplicity and mu >= 2 * s2.multiplicity
+    assert gcd(lam, mu) == 1
+    terms = [lam * mu + 2 * mu * f1 + 2 * lam * f2]
+    for side, margin, f, scale, other_scale, other_f in (
+        (s1, margin1, f1, mu, lam, f2),
+        (s2, margin2, f2, lam, mu, f1),
+    ):
+        if side.embedding_dim == 1:
+            assert margin is None and f == -1
+            continue
+        assert f >= 1 and margin >= -4  # facts (a) and (c)
+        terms.append(scale * margin + 2 * other_scale * (scale + other_f))
+    s = tree.semigroup
+    if s.embedding_dim == 2:
+        a, b = s.generators
+        assert terms == [(a - 2) * (b - 2) - 4]
+    else:
+        # the theorem: T0 >= 4, and each side's term >= 2
+        assert terms[0] >= 4 and min(terms[1:]) >= 2, (s, terms)
+    assert min(terms) == star_report(s).margin, s
+    return min(terms)
+
+
+def test_star_margin_recursion_and_its_bounds_on_every_tree_node():
+    # the e >= 3 theorem of the star module docstring, term by term, at
+    # every node of every tree: the CIs of genus <= 15 and seeded gluings
+    cis = [
+        s for s in enumerate_semigroups(15)
+        if s.embedding_dim >= 2 and ci_tree(s) is not None
+    ]
+    assert len(cis) == 86
+    for s in cis + [s for s in seeded_gluings() if ci_tree(s) is not None]:
+        _margin_by_the_recursion(ci_tree(s))
+    # the bound is sharp: through genus 15 the least e >= 3 margin is 2,
+    # reached at <4,5,6> = 2*<2,3> + 5*N only
+    margins = {s.generators: star_report(s).margin for s in cis if s.embedding_dim >= 3}
+    assert min(margins.values()) == 2
+    assert [g for g, margin in margins.items() if margin == 2] == [(4, 5, 6)]
