@@ -13,7 +13,9 @@ comparing them is one diff:
          <(PYTHONPATH=src python3 scripts/cli_digest.py)
 
 The list is the benchmark's large-single ladder of eight commands plus
-info 4,6,9, info 2,2001 and info 101,1000,5000; hypotheses on N, a
+info 4,6,9, info 2,2001 and info 101,1000,5000; presentation
+1000,1000001, whose Betti window of about 10^9 bits takes the candidate
+route; hypotheses on N, a
 two-generated, a CI and a non-CI semigroup, and star, classify and ci-tree
 on that non-CI one, 3,5,7; star and classify on 4,5,6, whose margin 2 is
 the least of any CI with three or more generators, and on 16,20,24,30,45 =
@@ -53,6 +55,7 @@ SINGLE = (
     ("info", "4,6,9"),
     ("info", "2,2001"),
     ("info", "101,1000,5000"),
+    ("presentation", "1000,1000001"),
     ("hypotheses", "1"),
     ("hypotheses", "2,3"),
     ("hypotheses", "4,6,9"),

@@ -19,17 +19,20 @@ core quantities read off it:
 The mask costs F + 1 bytes and one strided slice assignment per residue,
 with no int object per gap.  gaps() reads the list off it with compress.
 gap_chunks() writes the decimal text straight from it, one piece per
-thousand numbers, for output that lists every gap (`nsg info` writes each
-piece as it comes); gap_text() is their join.  A piece comes by one of two
-routes, chosen once per semigroup from the run count
+thousand numbers, for output that lists every gap (`nsg info` writes the
+pieces in batches as they come); gap_text() is their join.  A piece comes
+by one of two routes, chosen once per semigroup from the run count
 
     R      = sum over r = 1 .. m - 1 of max(0, h(r) - h(r + 1)),
              h(r) = (entry(r) - r) / m, h(m) = 0
 
 of maximal gap runs, read off the table in O(m):
 
-    runs      genus >= RUN_ROUTE_MIN_AVERAGE * R: two bytearray.find calls
-              and one tuple slice per run, O(R + F / 1000) Python steps
+    template  genus >= RUN_ROUTE_MIN_AVERAGE * R: the UTF-8 rows
+              str(n) + sep of a thousand numbers sit in a byte template,
+              whose head digits are rewritten by one strided assignment per
+              changed digit; each run is two bytearray.find calls and one
+              slice of it, O(R + F / 1000) Python steps
     compress  otherwise: itertools.compress over all F + 1 places, in C,
               whose per-place cost wins when runs are short (<2,q>)
 
@@ -50,10 +53,10 @@ the same _from_table that finishes every build.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd
 
 from .errors import EmptyInputError, NotAnElementError, NotCoprimeError
@@ -253,73 +256,135 @@ def _run_count(semigroup: NumericalSemigroup) -> int:
     return sum(max(0, h - nxt) for h, nxt in zip(heights[1:], heights[2:]))
 
 
-# gap_chunks takes the run route when the average gap run holds at least
-# this many gaps.  Whole gap_chunks passes over <k, q> with q = 1 (mod k),
-# whose average run is k/2, F near 2*10**6, median of 15 alternating pairs
-# on a 2-core host with Python 3.11: the run route took 1.91x the time of
-# compress at an average run of 12, 1.55x at 16, 1.21x at 20, 1.06x at 32,
-# 0.90x at 36, 0.79x at 48, 0.75x at 64 and 0.44-0.50x at 700-2000; on
-# <2,1000001>, runs of one gap, 16x.  The two cross between 32 and 36.
-RUN_ROUTE_MIN_AVERAGE = 32
+# gap_chunks takes the template route when the average gap run holds at
+# least this many gaps.  Whole gap_chunks passes over <k, q> with
+# q = 1 (mod k), whose average run is k/2, F near 2*10**6, median of 15
+# alternating pairs on a 2-core host with Python 3.11: the template route
+# took 2.58x the time of compress at an average run of 6, 1.58x at 10,
+# 1.35x at 12, 1.08x at 16, 1.03-1.05x at 17, 0.98-0.99x at 18, 0.94x at
+# 20, 0.68x at 32 and 0.24-0.37x at 100-1000; on <2,1000001>, runs of one
+# gap, 14x.  The two cross between 17 and 18.
+RUN_ROUTE_MIN_AVERAGE = 18
 
 
-def _compress_pieces(mask: bytearray, start: int, stop: int, table, glue: str) -> list[str]:
-    """table[n - start] for each gap n in start <= n < stop, by one step per place."""
-    return list(compress(table, mask[start:stop]))
+def _compress_chunks(mask: bytearray, sep: str) -> Iterator[str]:
+    """The piece of each chunk with a gap, by one compress step per place."""
+    low, pad = _decimal_tables()
+    for start in range(0, len(mask), 1000):
+        head = str(start // 1000) if start else ""
+        digits = list(compress(pad if start else low, mask[start : start + 1000]))
+        if digits:
+            yield head + (sep + head).join(digits)
 
 
-def _run_pieces(mask: bytearray, start: int, stop: int, table, glue: str) -> list[str]:
-    """glue.join(table[i - start : j - start]) for each maximal gap run i <= n < j
-    in start <= n < stop, found with two finds per run.
+@lru_cache(maxsize=16)
+def _row_template(length: int, sep: str) -> tuple[bytes, Sequence[int]]:
+    """The UTF-8 (surrogatepass) rows str(n) + sep of chunk 10**(length - 1),
+    or of chunk 0 for length 0, and the 1001 offsets where rows start and end.
 
-    A run still open at stop is cut there; in the last chunk stop is F + 1,
-    which is where the last run ends anyway.
+    Row t is head + table[t] + sep, with head str(10**(length - 1)) and the
+    table PAD, or head "" and the table str(t) for length 0: the
+    chunk-0 and chunk-q forms of str(n) in gap_chunks.  Every character but
+    those of sep is an ASCII digit, one byte, so for length >= 1 every row
+    is as wide as the first, and the offsets are a range, which stores no
+    int per row.
     """
-    find, pieces = mask.find, []
-    i = find(1, start, stop)
-    while i != -1:
-        j = find(0, i, stop)
-        if j == -1:
-            j = stop
-        pieces.append(glue.join(table[i - start : j - start]))
-        i = find(1, j, stop)
-    return pieces
+    low, pad = _decimal_tables()
+    head, table = (str(10 ** (length - 1)), pad) if length else ("", low)
+    rows = (head + (sep + head).join(table) + sep).encode("utf-8", "surrogatepass")
+    cut = len(sep.encode("utf-8", "surrogatepass"))
+    if length:
+        width = length + 3 + cut
+        return rows, range(0, 1001 * width, width)
+    return rows, tuple(accumulate((len(digits) + cut for digits in table), initial=0))
+
+
+def _template_chunks(mask: bytearray, sep: str) -> Iterator[str]:
+    """The piece of each chunk with a gap, one template slice per maximal run.
+
+    Runs come by two bytearray.find calls each; a run still open at the
+    chunk's stop is cut there, and in the last chunk stop is F + 1, where
+    the last run ends anyway.  Proof that the pieces are right at gap_chunks.
+    """
+    code = sep.encode("utf-8", "surrogatepass")
+    cut = len(code)
+    column = {digit: digit.encode() * 1000 for digit in "0123456789"}
+    find, size = mask.find, len(mask)
+    length = -1
+    for start in range(0, size, 1000):
+        stop = min(start + 1000, size)
+        i = find(1, start, stop)
+        if i == -1:
+            continue
+        head = str(start // 1000) if start else ""
+        if len(head) != length:
+            length = len(head)
+            template, offsets = _row_template(length, sep)
+            rows = bytearray(template)
+            view = memoryview(rows)
+            shown = str(10 ** (length - 1)) if length else ""
+            width = offsets[1]
+        for p, (old, new) in enumerate(zip(shown, head)):
+            if old != new:
+                rows[p::width] = column[new]
+        shown = head
+        pieces = []
+        while i != -1:
+            j = find(0, i, stop)
+            if j == -1:
+                j = stop
+            pieces.append(view[offsets[i - start] : offsets[j - start] - cut])
+            i = find(1, j, stop)
+        yield code.join(pieces).decode("utf-8", "surrogatepass")
 
 
 def gap_chunks(semigroup: NumericalSemigroup, sep: str) -> Iterator[str]:
     """The gap text in pieces: sep.join of them is the gaps written with sep.
 
     The mask is cut into chunks of 1000, and each chunk with a gap yields
-    one piece.  Chunk 0 holds the gaps 0 <= i < 1000, written as str(i).
-    For q >= 1 and 0 <= i < 1000, 1000q + i = q * 10**3 + i with i below
-    10**3 and q >= 1 carrying no leading zero, so str(1000q + i) ==
-    str(q) + f"{i:03d}"; the gaps of chunk q therefore read
-    str(q) + PAD[i1] + sep + str(q) + PAD[i2] ..., which is
-    str(q) + (sep + str(q)).join(PAD[i] for each gap offset i).  Chunk 0 is
-    the same with head "" and table str(i).  The offsets come ascending and
-    the chunks go in order, so the text lists the gaps ascending, as gaps()
-    does.  N (F = -1, an empty mask) yields nothing.
+    one piece, sep.join of its gaps in decimal.  Chunk 0 holds the gaps
+    0 <= t < 1000, written as str(t).  For q >= 1 and 0 <= t < 1000,
+    1000q + t = q * 10**3 + t with t below 10**3 and q >= 1 carrying no
+    leading zero, so str(1000q + t) == str(q) + PAD[t], PAD[t] = f"{t:03d}".
+    The offsets come ascending and the chunks go in order, so the text
+    lists the gaps ascending, as gaps() does.  N (F = -1, an empty mask)
+    yields nothing.
 
-    The offsets of a chunk come by one of two routes, chosen once per
-    semigroup, with equal results.  compress steps over all 1000 places;
-    the run route finds each maximal run of gaps with bytearray.find and
-    takes its table slice whole, so it pays per run, not per place.  It is
-    taken when genus >= RUN_ROUTE_MIN_AVERAGE * _run_count, that is, when
-    the average run holds at least that many gaps.
+    The pieces come by one of two routes, chosen once per semigroup, with
+    equal results.  It is the template route when genus >=
+    RUN_ROUTE_MIN_AVERAGE * _run_count, that is, when the average run holds
+    at least that many gaps, and the compress route otherwise.
+
+    compress: with head = str(q) ("" and the table str(t) in chunk 0), the
+    gaps of chunk q read head + PAD[t1] + sep + head + PAD[t2] ..., which
+    is head + (sep + head).join(PAD[t] for each gap offset t), and
+    compress picks those PAD[t] out of the table by the chunk's mask.
+
+    template: write c(x) for x encoded as UTF-8 with surrogatepass, which
+    maps each code point, lone surrogates too, to bytes of its own, so c
+    accepts every str, c(x + y) = c(x) + c(y), and decoding with
+    surrogatepass inverts c.  _row_template(L, sep) is c of the rows
+    str(n) + sep of chunk 10**(L - 1), or of chunk 0 for L = 0, with the
+    offsets o[t] where row t starts and o[1000] where the last one ends.
+    For L >= 1, row t is c(h0 + PAD[t] + sep) with h0 = str(10**(L - 1)):
+    every row is W = L + 3 + len(c(sep)) bytes wide, o[t] = tW, and the
+    L head bytes of the rows are the positions p::W, 0 <= p < L, of the
+    1000W-byte copy.  shown is the head the copy holds: h0 after the copy,
+    which is made whenever the head length changes; each p where head and
+    shown differ gets rows[p::W] = head[p] * 1000, which writes digit p of
+    every row and no other byte.  So for chunk q every row t of the copy is
+    c(str(q) + PAD[t] + sep) = c(str(1000q + t) + sep); for chunk 0 the
+    rows are c(str(t) + sep) and nothing is rewritten.  A run
+    start + i <= n < start + j of the chunk is rows i .. j - 1, the bytes
+    o[i] to o[j], and dropping the last len(c(sep)) of them drops row
+    j - 1's sep: c(sep.join(str(n) for each n in the run)).  The runs of a
+    chunk hold all its gaps, in order, so their slices joined by c(sep)
+    are c of the chunk's piece, which decoding returns.
     """
-    low, pad = _decimal_tables()
     mask = _gap_mask(semigroup)
     if semigroup.genus >= RUN_ROUTE_MIN_AVERAGE * _run_count(semigroup):
-        pieces_of = _run_pieces
-    else:
-        pieces_of = _compress_pieces
-    size = len(mask)
-    for start in range(0, size, 1000):
-        head = str(start // 1000) if start else ""
-        glue = sep + head
-        pieces = pieces_of(mask, start, min(start + 1000, size), pad if start else low, glue)
-        if pieces:
-            yield head + glue.join(pieces)
+        return _template_chunks(mask, sep)
+    return _compress_chunks(mask, sep)
 
 
 def gap_text(semigroup: NumericalSemigroup, sep: str) -> str:

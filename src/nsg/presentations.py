@@ -20,12 +20,13 @@ the relations of minimal_presentation.
 
 Betti elements all lie in the window [0, W), W = max(Ap) + a_e + 1, and
 are found by one of two routes that return the same list.  When the window
-is dense, W <= 64m, _betti_bits builds the membership bitset of S in it
-once and finds every n whose G_n has two or more components by a
-bit-parallel propagation over all of the window at once, about one
-machine word per residue and bitset.  Otherwise _betti_candidates runs
-_components on each of the at most m(e - 1) candidates w + a_i, which
-stays cheap where the bitsets would be huge, as for <1000, 1000001>.
+is dense, W <= BITS_MAX_DENSITY * m, _betti_bits builds the membership
+bitset of S in it once and finds every n whose G_n has two or more
+components by a bit-parallel propagation over all of the window at once,
+at most eight machine words per residue and bitset.  Otherwise
+_betti_candidates runs _components on each of the at most m(e - 1)
+candidates w + a_i, which stays cheap where the bitsets would be huge, as
+for <1000, 1000001>.
 
 The relation count of a minimal presentation, compared with the number of
 generators, detects complete intersections.  The library decides those by
@@ -197,9 +198,9 @@ def betti_elements(semigroup: NumericalSemigroup) -> list[int]:
 
     Every Betti element is at most max(Ap) + a_e = F + m + a_e (proof at
     _betti_candidates), so it lies in the window [0, W) with
-    W = F + m + a_e + 1.  On a dense window, W <= 64m, _betti_bits scans all
-    of it at once; otherwise _betti_candidates tests each candidate.  Both
-    return exactly the Betti elements.
+    W = F + m + a_e + 1.  On a dense window, W <= BITS_MAX_DENSITY * m,
+    _betti_bits scans all of it at once; otherwise _betti_candidates tests
+    each candidate.  Both return exactly the Betti elements.
     """
     if semigroup.embedding_dim <= 1:
         return []
@@ -213,16 +214,31 @@ def _window(semigroup: NumericalSemigroup) -> int:
     return semigroup.frobenius + semigroup.multiplicity + semigroup.generators[-1] + 1
 
 
-def _dense_window(semigroup: NumericalSemigroup) -> bool:
-    """Whether the window [0, W) spans at most 64 bits per residue mod m.
+# _betti_bits serves windows of at most this many bits per residue mod m.
+# Both routes timed directly, median of 7, on a 2-core host with Python
+# 3.11, as bits / candidates: 0.31x at W/m = 201 (<200,201>), 0.68x at 501,
+# 0.96x at 601 and 1.16x at 701 (<m, m + 1>); 0.95x at 502 and 1.23x at 702
+# (<m, ..., m + 5>); 0.87x at 502 and 1.44x at 1002 (<10, q, ..., q + 8>);
+# 1.08x at 502 and 1.76x at 1002 (<20, q, ..., q + 18>); 0.14-0.21x at 34
+# and 66 (<m, ..., m + 19>) and 0.40x at 225 (<2000, ..., 2009>).  The two
+# cross near 500-650 bits per residue, whatever m, e and W are, so the
+# split is by density: a cap on W alone would send <2000, ..., 2009>
+# (W = 450,009) to the candidates and <20, 50001, ..., 50019> (W = 100,039,
+# 7.4x) to the bits.
+BITS_MAX_DENSITY = 512
 
-    Then the bit route holds about one machine word per residue in each of
-    its 2e + 1 bitsets, O(e * m) words in all, and beats testing the m(e - 1)
-    candidates one by one.  On a sparse window, such as <1000, 1000001>
-    with W about 10^9, the bitsets would be huge while the candidates stay
-    few, so the candidate route serves.
+
+def _dense_window(semigroup: NumericalSemigroup) -> bool:
+    """Whether [0, W) spans at most BITS_MAX_DENSITY bits per residue mod m.
+
+    Then the bit route holds at most eight machine words per residue in
+    each of its 2e + 1 bitsets, O(e * m) words in all, the order of the
+    m(e - 1) candidates the other route holds, and beats testing them one
+    by one.  On a sparse window, such as <1000, 1000001> with W about 10^9,
+    the bitsets would be huge while the candidates stay few, so the
+    candidate route serves.
     """
-    return _window(semigroup) <= 64 * semigroup.multiplicity
+    return _window(semigroup) <= BITS_MAX_DENSITY * semigroup.multiplicity
 
 
 def _betti_candidates(semigroup: NumericalSemigroup) -> list[int]:

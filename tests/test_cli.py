@@ -106,6 +106,36 @@ def test_info_never_builds_the_gap_list(capsys, monkeypatch):
         assert info_digest(capsys, "1000,1999", fmt) == INFO_SHA256["1000,1999", fmt]
 
 
+class WriteSizes(io.StringIO):
+    """A text sink that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_info_writes_the_gap_text_in_bounded_batches(monkeypatch):
+    # a batch is written once it reaches WRITE_BATCH characters, so no write
+    # reaches WRITE_BATCH plus one chunk and its sep, however large F is,
+    # and the writes are about len(text) / WRITE_BATCH plus the other rows',
+    # not two per chunk
+    s = nsg.make_semigroup([1000, 1999])
+    for fmt, sep in (("json", ", "), ("text", ",")):
+        longest = max(map(len, nsg.core.gap_chunks(s, sep)))
+        sink = WriteSizes()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run(["info", "1000,1999", "--format", fmt]) == 0
+        monkeypatch.undo()
+        text = sink.getvalue()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INFO_SHA256["1000,1999", fmt]
+        assert max(sink.sizes) < nsg.cli.WRITE_BATCH + longest + len(sep)
+        assert len(sink.sizes) <= len(text) // nsg.cli.WRITE_BATCH + 20
+
+
 def test_presentation_json(capsys):
     code, out, _ = run_cli(capsys, "presentation", "4,6,9", "--format", "json")
     assert code == 0

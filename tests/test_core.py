@@ -273,14 +273,15 @@ def _naive_run_count(gap_list):
 
 @pytest.fixture
 def gap_routes(monkeypatch):
-    """The set of routes ("runs", "compress") gap_chunks took since the last clear."""
+    """The set of routes ("runs", "compress") that wrote a chunk since the last clear."""
     used = set()
-    for name, route in (("_run_pieces", "runs"), ("_compress_pieces", "compress")):
+    for name, route in (("_template_chunks", "runs"), ("_compress_chunks", "compress")):
         real = getattr(core, name)
 
         def spy(*args, real=real, route=route):
-            used.add(route)
-            return real(*args)
+            for chunk in real(*args):
+                used.add(route)
+                yield chunk
 
         monkeypatch.setattr(core, name, spy)
     return used
@@ -356,6 +357,46 @@ def test_gap_text_on_multi_chunk_inputs_takes_both_routes(gap_routes):
         route == "runs" and (make_semigroup(gens).frobenius + 1) % 1000
         for gens, route in taken.items()
     )
+
+
+# "é" and "→" are two- and three-byte UTF-8; "\udc80" is a lone surrogate,
+# and "\ud800\udc00" two of them, which UTF-8 with surrogatepass keeps
+# apart rather than pairing into one code point
+ODD_SEPARATORS = ("é", " → ", "\udc80", "\ud800\udc00")
+
+
+def test_gap_text_with_non_ascii_and_surrogate_separators_on_both_routes(
+    monkeypatch, gap_routes
+):
+    # the template route encodes sep into its rows and decodes each piece,
+    # so every str gap_text accepts as sep must come back unchanged
+    for gens in ((2, 2001), (37, 1000, 1999), (100, 101)):
+        s = make_semigroup(gens)
+        gap_list = naive_gaps(gens)
+        for min_average, route in ((0, "runs"), (10**9, "compress")):
+            monkeypatch.setattr(core, "RUN_ROUTE_MIN_AVERAGE", min_average)
+            gap_routes.clear()
+            for sep in ODD_SEPARATORS:
+                assert gap_text(s, sep) == sep.join(map(str, gap_list)), (gens, sep, route)
+            assert gap_routes == {route}
+
+
+def test_template_route_across_head_length_changes(gap_routes):
+    # <1032, 1033> (F = 1,063,991, average run 516) takes the template route
+    # on its own, and its runs hold 9999 and 10000, 99999 and 100000, and
+    # 999999 and 1000000, where the head str(q) grows from 1 to 2, 2 to 3
+    # and 3 to 4 digits and a fresh template is copied in mid-run; other
+    # runs cross chunk edges where the head keeps its length
+    gens = (1032, 1033)
+    gap_list = naive_gaps(gens)
+    gap_set = set(gap_list)
+    for n in (10**4, 10**5, 10**6):
+        assert {n - 1, n} <= gap_set
+    assert any(1000 * q - 1 in gap_set and 1000 * q in gap_set for q in range(11, 99))
+    s = make_semigroup(gens)
+    for sep in (", ", ","):
+        assert gap_text(s, sep) == sep.join(map(str, gap_list)), sep
+    assert gap_routes == {"runs"}
 
 
 @settings(max_examples=100, deadline=None)

@@ -352,9 +352,9 @@ def test_betti_candidates_match_full_scan_on_gluings():
     assert sizes == {4, 5, 6, 7}
 
 
-# windows W = F + m + a_e + 1 from dense to far sparser than 64 bits per
-# residue: W/m runs from 3.5 for <2, 3> to 2001 for <2, 2001>, and the last
-# three are sparse
+# windows W = F + m + a_e + 1 from dense to far sparser than
+# BITS_MAX_DENSITY = 512 bits per residue: W/m runs from 3.5 for <2, 3> to
+# 2001 for <2, 2001>; <2, q> for q >= 513 and the last three are sparse
 SPARSE = [(2, q) for q in range(3, 2002, 2)] + [(30, 1001), (100, 10001), (17, 10001, 20011)]
 
 
@@ -388,22 +388,25 @@ def test_betti_routes_match_full_scan_on_sparse_windows():
 
 
 def test_betti_route_choice_follows_window_density(monkeypatch):
-    # dense windows take the bit route and sparse ones the candidate route;
-    # the route not chosen is replaced by a trap, so the bit route never
-    # runs on a hostile window such as <1000, 1000001>, W about 10^9
+    # windows of at most 512 bits per residue take the bit route and wider
+    # ones the candidate route; the route not chosen is replaced by a trap,
+    # so the bit route never runs on a hostile window such as
+    # <1000, 1000001>, W about 10^9.  <200, 201> (W/m = 201) and
+    # <2, 511> (511.5) are dense, <2, 513> (513.5) and <700, 701> sparse
     def trap(s):
         raise AssertionError(f"wrong Betti route for {s}")
 
     dense = [seeded_gluings()[0], make_semigroup([96, 99, 165, 168, 240, 392])]
-    sparse = [make_semigroup([200, 201]), make_semigroup([1000, 1000001])]
-    assert all(_dense_window(s) for s in dense)
+    dense_pairs = [make_semigroup([200, 201]), make_semigroup([2, 511])]
+    sparse = [make_semigroup(gens) for gens in ([2, 513], [700, 701], [1000, 1000001])]
+    assert all(_dense_window(s) for s in dense + dense_pairs)
     assert not any(_dense_window(s) for s in sparse)
-    expected = [betti_by_full_scan(s) for s in dense]
+    expected = [betti_by_full_scan(s) for s in dense] + [[200 * 201], [2 * 511]]
     monkeypatch.setattr(presentations, "_betti_candidates", trap)
-    assert [betti_elements(s) for s in dense] == expected
+    assert [betti_elements(s) for s in dense + dense_pairs] == expected
     monkeypatch.undo()
     monkeypatch.setattr(presentations, "_betti_bits", trap)
-    assert [betti_elements(s) for s in sparse] == [[200 * 201], [1000 * 1000001]]
+    assert [betti_elements(s) for s in sparse] == [[2 * 513], [700 * 701], [1000 * 1000001]]
 
 
 def classes_agree_with_oracle(s, n):

@@ -19,13 +19,13 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("nsg from ")
     lines = captured.out.splitlines()
-    assert len(lines) == 70
+    assert len(lines) == 72
     digests = {}
     for line in lines:
         code, out_sha, err_sha, *argv = line.split(" ")
         assert argv[-2] == "--format" and len(out_sha) == len(err_sha) == 64
         digests[tuple(argv)] = code, out_sha, err_sha
-    assert len(digests) == 70
+    assert len(digests) == 72
     (subcommands,) = [
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
