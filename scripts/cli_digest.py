@@ -12,25 +12,18 @@ comparing them is one diff:
     diff <(PYTHONPATH=../other/src python3 scripts/cli_digest.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digest.py)
 
-The list is the benchmark's large-single ladder of eight commands plus
-info 4,6,9, info 2,2001 and info 101,1000,5000; presentation
-1000,1000001, whose Betti window of about 10^9 bits takes the candidate
-route; hypotheses on N, a
-two-generated, a CI and a non-CI semigroup, and star, classify and ci-tree
-on that non-CI one, 3,5,7; star and classify on 4,5,6, whose margin 2 is
-the least of any CI with three or more generators, and on 16,20,24,30,45 =
-8*<2,3> + 5*<4,6,9>, a gluing no inductive branch covers; ci-tree on
-4,6,15 (two splits, left parts of sizes 1 and 2), 6,8,9 (two splits of one
-size) and the non-CI 8,9,10,12,14 (one split), so the tree shows which
-split comes first; then glue and inductive on four gluings, then the census
-commands enumerate --max-genus 8 and verify --max-genus 10, each in json
-and in text, so every subcommand appears.  The ladder's two info inputs
-have long gap runs and the last two short ones, so both of gap_chunks's
-routes are covered.  The gluings take their multiplicity from the left
-side, from the right side, and with N as the right side, and the last has
-an ineligible lambda and exits 1; inductive exits 1 on the first too, whose
-left side fails the star condition.  The list is fixed here, so that
-digests taken at different commits stay comparable.
+The list, COMMANDS below, runs every subcommand in json and in text: the
+benchmark's large-single ladder, the empty edge N = <1>, both routes of
+the gap writer and of the Betti scan, and the error paths, with a comment
+on each input that needs one.  It is fixed here, so that digests taken at
+different commits stay comparable.
+
+tests/cli_digest.txt holds these lines as the last tree with intended
+output printed them, and tests/test_scripts.py asserts that the script
+prints exactly them.  When the list or an output changes on purpose,
+regenerate it from the tree whose output is intended:
+
+    PYTHONPATH=src python3 scripts/cli_digest.py > tests/cli_digest.txt
 """
 
 from __future__ import annotations
@@ -44,6 +37,7 @@ import nsg
 from nsg.cli import run
 
 SINGLE = (
+    # the benchmark's large-single ladder; its two info inputs have long gap runs
     ("info", "500,999"),
     ("info", "1000,1999"),
     ("presentation", "200,201"),
@@ -52,26 +46,37 @@ SINGLE = (
     ("ci-tree", "48,60,72,80,126,315"),
     ("ci-tree", "110,120,176,180,210,264,495"),
     ("presentation", "96,99,165,168,240,392"),
+    # short gap runs, the other route of gap_chunks
     ("info", "4,6,9"),
     ("info", "2,2001"),
     ("info", "101,1000,5000"),
-    ("presentation", "1000,1000001"),
+    ("presentation", "1000,1000001"),  # a Betti window of about 10^9 bits: the candidate route
+    # N, the empty edge: no relations, no d_max, a one-leaf tree
+    ("presentation", "1"),
+    ("star", "1"),
+    ("classify", "1"),
+    ("ci-tree", "1"),
     ("hypotheses", "1"),
     ("hypotheses", "2,3"),
-    ("hypotheses", "4,6,9"),
-    ("hypotheses", "3,5,7"),
+    ("hypotheses", "4,6,9"),  # a CI
+    ("hypotheses", "3,5,7"),  # not a CI
     ("star", "3,5,7"),
     ("classify", "3,5,7"),
+    # margin 2, the least of any CI with three or more generators
     ("star", "4,5,6"),
     ("classify", "4,5,6"),
+    # 8*<2,3> + 5*<4,6,9>, a gluing no inductive branch covers
     ("star", "16,20,24,30,45"),
     ("classify", "16,20,24,30,45"),
     ("ci-tree", "3,5,7"),
+    # which split comes first: two splits with left parts of sizes 1 and 2,
+    # two splits of one size, and a non-CI with one split
     ("ci-tree", "4,6,15"),
     ("ci-tree", "6,8,9"),
     ("ci-tree", "8,9,10,12,14"),
 )
-# (left, right, lambda, mu) of mu*left + lambda*right
+# (left, right, lambda, mu) of mu*left + lambda*right; glue and inductive
+# exit 1 on the last, and inductive on the first, whose left side fails star
 GLUINGS = (
     ("3,5", "4,6,9", "9", "10"),  # multiplicity mu*3 = 30 < lambda*4 = 36
     ("4,6,9", "3,5", "10", "9"),  # multiplicity lambda*3 = 30 < mu*4 = 36

@@ -4,158 +4,25 @@ Construction and membership, Apery sets, Frobenius numbers, minimal
 presentations, gluings with complete intersection certificates, the star
 condition on Frobenius versus relation degrees, and an exhaustive
 genus-bounded census with a verification pipeline.
+
+Each module lists its public names in its own __all__; the package
+re-exports exactly those.
 """
 
-from .census import (
-    DEFAULT_WORK_CEILING,
-    ENV_WORK_CEILING,
-    CensusRecord,
-    VerificationSummary,
-    enumerate_records,
-    enumerate_semigroups,
-    natural_numbers,
-    read_records,
-    record_for,
-    record_to_doc,
-    summarize,
-    verify_star,
-    work_ceiling,
-    write_records,
-)
-from .core import (
-    AperyTable,
-    NumericalSemigroup,
-    apery_set,
-    contains,
-    frobenius,
-    gap_text,
-    gaps,
-    make_semigroup,
-    parse_generators,
-)
-from .errors import (
-    BoundTooLargeError,
-    ConsistencyError,
-    EmptyInputError,
-    FamilyConstraintError,
-    HypothesesNotMetError,
-    InvalidPairError,
-    LambdaNotEligibleError,
-    MalformedRecordError,
-    MuNotEligibleError,
-    NegativeElementError,
-    NotAnElementError,
-    NotCompleteIntersectionError,
-    NotCoprimeError,
-    NsgError,
-)
-from .gluing import (
-    CITree,
-    GluingSplit,
-    a_invariant,
-    ci_tree,
-    extra_degree,
-    find_gluings,
-    glue,
-    is_complete_intersection,
-    three_gen_family,
-)
-from .presentations import (
-    Factorization,
-    Presentation,
-    Relation,
-    betti_elements,
-    factorizations,
-    minimal_presentation,
-    r_classes,
-    relation_degrees,
-)
-from .star import (
-    EXCEPTION_TAGS,
-    ExceptionClass,
-    GluingBranch,
-    GluingStarReport,
-    HypothesisReport,
-    SmallExceptionRecord,
-    StarReport,
-    StarVerdict,
-    check_star_gluing,
-    classify_exception,
-    expected_verdict,
-    hypotheses_report,
-    small_exceptions,
-    star_report,
-)
+from .census import *
+from .core import *
+from .errors import *
+from .gluing import *
+from .presentations import *
+from .star import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AperyTable",
-    "BoundTooLargeError",
-    "CITree",
-    "CensusRecord",
-    "ConsistencyError",
-    "DEFAULT_WORK_CEILING",
-    "ENV_WORK_CEILING",
-    "EXCEPTION_TAGS",
-    "EmptyInputError",
-    "ExceptionClass",
-    "Factorization",
-    "FamilyConstraintError",
-    "GluingBranch",
-    "GluingSplit",
-    "GluingStarReport",
-    "HypothesesNotMetError",
-    "HypothesisReport",
-    "InvalidPairError",
-    "LambdaNotEligibleError",
-    "MalformedRecordError",
-    "MuNotEligibleError",
-    "NegativeElementError",
-    "NotAnElementError",
-    "NotCompleteIntersectionError",
-    "NotCoprimeError",
-    "NsgError",
-    "NumericalSemigroup",
-    "Presentation",
-    "Relation",
-    "SmallExceptionRecord",
-    "StarReport",
-    "StarVerdict",
-    "VerificationSummary",
-    "a_invariant",
-    "apery_set",
-    "betti_elements",
-    "check_star_gluing",
-    "ci_tree",
-    "classify_exception",
-    "contains",
-    "enumerate_records",
-    "enumerate_semigroups",
-    "expected_verdict",
-    "extra_degree",
-    "factorizations",
-    "find_gluings",
-    "frobenius",
-    "gap_text",
-    "gaps",
-    "glue",
-    "hypotheses_report",
-    "is_complete_intersection",
-    "make_semigroup",
-    "minimal_presentation",
-    "natural_numbers",
-    "parse_generators",
-    "r_classes",
-    "read_records",
-    "record_for",
-    "record_to_doc",
-    "relation_degrees",
-    "small_exceptions",
-    "star_report",
-    "summarize",
-    "three_gen_family",
-    "verify_star",
-    "work_ceiling",
-    "write_records",
-]
+__all__ = sorted(
+    census.__all__
+    + core.__all__
+    + errors.__all__
+    + gluing.__all__
+    + presentations.__all__
+    + star.__all__
+)

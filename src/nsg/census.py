@@ -53,6 +53,23 @@ from .star import (
     star_report,
 )
 
+__all__ = [
+    "DEFAULT_WORK_CEILING",
+    "ENV_WORK_CEILING",
+    "CensusRecord",
+    "VerificationSummary",
+    "enumerate_records",
+    "enumerate_semigroups",
+    "natural_numbers",
+    "read_records",
+    "record_for",
+    "record_to_doc",
+    "summarize",
+    "verify_star",
+    "work_ceiling",
+    "write_records",
+]
+
 DEFAULT_WORK_CEILING = 15
 ENV_WORK_CEILING = "NSG_WORK_CEILING"
 

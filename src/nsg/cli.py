@@ -49,15 +49,34 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _emit(args, doc: dict, rows) -> None:
-    """Print doc as JSON, or the (label, value) pairs rows() returns as text.
+def _text(value) -> str:
+    """One JSON value as a text row shows it: none, yes/no or a comma list."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return _csv(value) or "none"
+    return str(value)
+
+
+def _doc_rows(doc: dict, relabel=None, skip=()) -> list:
+    """The (label, value) text rows of doc, one per key not in skip, in key order."""
+    relabel = relabel or {}
+    return [(relabel.get(key, key), _text(value)) for key, value in doc.items() if key not in skip]
+
+
+def _emit(args, doc: dict, rows=None, relabel=None, skip=()) -> None:
+    """Print doc as JSON, or as text rows: rows() if given, else doc's own.
 
     rows is only called for text output, so JSON output never formats them.
+    Without rows each key of doc not in skip is one row, labelled by relabel
+    or by the key itself, with its value rendered by _text.
     """
     if args.format == "json":
         print(json.dumps(doc))
         return
-    _print_rows(rows())
+    _print_rows(_doc_rows(doc, relabel, skip) if rows is None else rows())
 
 
 def _print_rows(pairs, width: int | None = None) -> None:
@@ -110,32 +129,28 @@ def _cmd_info(args) -> int:
     _write_gaps writes the chunks, each cut from a byte template or picked
     by compress (see nsg.core), to stdout in batches of about WRITE_BATCH
     characters with sep between them, so the gap text, tens of MB for a
-    large semigroup, is never held whole.  The text rows are _print_rows's,
-    with the gaps row ("none" for none) written the same way.
+    large semigroup, is never held whole.  The apery dict is dumped as it
+    is: json.dumps writes its int keys as strings, as it would inside doc.
+    The text rows are head's, through _doc_rows, then the gaps row ("none"
+    for none), written the same way, and the Apery row.
     """
     s = make_semigroup(args.generators)
     apery = s.apery.as_dict()
+    head = {
+        "generators": list(s.generators),
+        "multiplicity": s.multiplicity,
+        "embedding_dim": s.embedding_dim,
+        "frobenius": s.frobenius,
+        "genus": s.genus,
+    }
     out = sys.stdout
     if args.format == "json":
-        head = {
-            "generators": list(s.generators),
-            "multiplicity": s.multiplicity,
-            "embedding_dim": s.embedding_dim,
-            "frobenius": s.frobenius,
-            "genus": s.genus,
-        }
         out.write(json.dumps(head)[:-1] + ', "gaps": [')
         _write_gaps(out, s, ", ")
-        out.write('], "apery": ' + json.dumps({str(r): w for r, w in apery.items()}) + "}\n")
+        out.write('], "apery": ' + json.dumps(apery) + "}\n")
         return 0
     apery_row = (f"apery mod {s.multiplicity}", " ".join(f"{r}:{w}" for r, w in apery.items()))
-    rows = [
-        ("generators", _csv(s.generators)),
-        ("multiplicity", s.multiplicity),
-        ("embedding_dim", s.embedding_dim),
-        ("frobenius", s.frobenius),
-        ("genus", s.genus),
-    ]
+    rows = _doc_rows(head)
     width = max(map(len, [label for label, _ in rows] + ["gaps", apery_row[0]]))
     _print_rows(rows, width)
     out.write(f"{'gaps:':<{width + 2}}")
@@ -163,15 +178,7 @@ def _cmd_presentation(args) -> int:
         ],
         "degrees": list(pres.degrees),
     }
-    _emit(
-        args,
-        doc,
-        lambda: [
-            ("generators", _csv(s.generators)),
-            ("betti", _csv(betti) or "none"),
-            ("degrees", _csv(pres.degrees) or "none"),
-        ],
-    )
+    _emit(args, doc, skip={"relations"})
     if args.format == "text":
         print("relations:")
         if not pres.relations:
@@ -218,8 +225,7 @@ def _cmd_ci_tree(args) -> int:
     s = make_semigroup(args.generators)
     tree = ci_tree(s)
     if tree is None:
-        doc = {"generators": list(s.generators), "ci": False}
-        _emit(args, doc, lambda: [("generators", _csv(s.generators)), ("ci", "no")])
+        _emit(args, {"generators": list(s.generators), "ci": False})
         return 0
     doc = {"generators": list(s.generators), "ci": True, "tree": tree.to_record()}
     _emit(
@@ -244,25 +250,14 @@ def _cmd_star(args) -> int:
         "margin": report.margin,
         "star_verdict": report.verdict.value,
     }
-    _emit(
-        args,
-        doc,
-        lambda: [
-            ("generators", _csv(s.generators)),
-            ("frobenius", report.frobenius),
-            ("d_max", "none" if report.d_max is None else report.d_max),
-            ("margin", "none" if report.margin is None else report.margin),
-            ("verdict", report.verdict.value),
-        ],
-    )
+    _emit(args, doc, relabel={"star_verdict": "verdict"})
     return 0
 
 
 def _cmd_classify(args) -> int:
     s = make_semigroup(args.generators)
     tag = classify_exception(s)
-    doc = {"generators": list(s.generators), "exception": tag.value}
-    _emit(args, doc, lambda: [("generators", _csv(s.generators)), ("exception", tag.value)])
+    _emit(args, {"generators": list(s.generators), "exception": tag.value})
     return 0
 
 
@@ -309,18 +304,7 @@ def _cmd_hypotheses(args) -> int:
         "branch": report.branch,
         "holds": report.holds,
     }
-    _emit(
-        args,
-        doc,
-        lambda: [
-            ("generators", _csv(s.generators)),
-            ("embedding_dim", report.embedding_dim),
-            ("is_ci", "yes" if report.is_ci else "no"),
-            ("star_verdict", report.star.verdict.value),
-            ("branch", report.branch),
-            ("holds", "yes" if report.holds else "no"),
-        ],
-    )
+    _emit(args, doc)
     return 0
 
 

@@ -61,6 +61,18 @@ from math import gcd
 
 from .errors import EmptyInputError, NotAnElementError, NotCoprimeError
 
+__all__ = [
+    "AperyTable",
+    "NumericalSemigroup",
+    "apery_set",
+    "contains",
+    "frobenius",
+    "gap_text",
+    "gaps",
+    "make_semigroup",
+    "parse_generators",
+]
+
 
 @dataclass(frozen=True)
 class AperyTable:

@@ -8,6 +8,23 @@ of the other arguments: bad input that no proof can rule out.  A test pins
 that no other code raises it.
 """
 
+__all__ = [
+    "BoundTooLargeError",
+    "ConsistencyError",
+    "EmptyInputError",
+    "FamilyConstraintError",
+    "HypothesesNotMetError",
+    "InvalidPairError",
+    "LambdaNotEligibleError",
+    "MalformedRecordError",
+    "MuNotEligibleError",
+    "NegativeElementError",
+    "NotAnElementError",
+    "NotCompleteIntersectionError",
+    "NotCoprimeError",
+    "NsgError",
+]
+
 
 class NsgError(Exception):
     """Base class for all domain errors."""

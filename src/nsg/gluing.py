@@ -61,6 +61,18 @@ from .errors import (
     NotCoprimeError,
 )
 
+__all__ = [
+    "CITree",
+    "GluingSplit",
+    "a_invariant",
+    "ci_tree",
+    "extra_degree",
+    "find_gluings",
+    "glue",
+    "is_complete_intersection",
+    "three_gen_family",
+]
+
 
 @dataclass(frozen=True)
 class GluingSplit:

@@ -45,6 +45,17 @@ from typing import NamedTuple
 from .core import NumericalSemigroup
 from .errors import NegativeElementError
 
+__all__ = [
+    "Factorization",
+    "Presentation",
+    "Relation",
+    "betti_elements",
+    "factorizations",
+    "minimal_presentation",
+    "r_classes",
+    "relation_degrees",
+]
+
 
 class Factorization(NamedTuple):
     coords: tuple[int, ...]

@@ -80,6 +80,23 @@ from .core import NumericalSemigroup
 from .errors import HypothesesNotMetError, InvalidPairError
 from .gluing import ci_tree, glue
 
+__all__ = [
+    "EXCEPTION_TAGS",
+    "ExceptionClass",
+    "GluingBranch",
+    "GluingStarReport",
+    "HypothesisReport",
+    "SmallExceptionRecord",
+    "StarReport",
+    "StarVerdict",
+    "check_star_gluing",
+    "classify_exception",
+    "expected_verdict",
+    "hypotheses_report",
+    "small_exceptions",
+    "star_report",
+]
+
 
 class StarVerdict(str, Enum):
     SATISFIED = "satisfied"

@@ -1,6 +1,7 @@
 """Construction, membership, Apery data, and the derived invariants."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -452,3 +453,27 @@ def test_consistency_error_is_raised_only_by_extra_degree():
     start, end = spans["gluing.py", "extra_degree"]
     ((module, line),) = raised
     assert module == "gluing.py" and start <= line <= end
+
+
+def test_public_names_are_the_modules_own_lists():
+    modules = [
+        importlib.import_module(f"nsg.{name}")
+        for name in ("census", "core", "errors", "gluing", "presentations", "star")
+    ]
+    assert len(nsg.__all__) == 68 and nsg.__all__ == sorted(set(nsg.__all__))
+    assert sorted(name for module in modules for name in module.__all__) == nsg.__all__
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(nsg, name) is vars(module)[name]
+    # the package writes no name of its own: each is a string in one module's __all__
+    tree = ast.parse(Path(nsg.__file__).read_text(encoding="utf-8"))
+    strings = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert strings.isdisjoint(nsg.__all__)
+    namespace = {}
+    exec("from nsg.core import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(core.__all__)
+    assert {"gcd", "compress", "gap_chunks"}.isdisjoint(namespace)
