@@ -2,7 +2,8 @@
 
 One subcommand per library operation, each with --format text|json.  Exit
 codes: 0 on success, 1 on domain errors (bad semigroup input, unmet
-hypotheses, IO failures), 2 on usage errors (argparse handles those).
+hypotheses, IO failures, a stdout its reader closed), 2 on usage errors
+(argparse handles those).
 `verify` also exits 1, after printing its summary, when the summary lists a
 counterexample.
 """
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .census import enumerate_records, summarize, verify_star, write_records
@@ -438,7 +440,22 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """run() as a process: its exit code, and exit 1 when the reader closes stdout.
+
+    A closed pipe raises BrokenPipeError on a write, which run() reports as
+    an IO failure, or on the flush here.  Either way the text still
+    buffered would fail again in the interpreter's last flush, which prints
+    a traceback and exits 120; so, as the Python docs' note on SIGPIPE
+    advises, fd 1 is pointed at os.devnull first.  This lives here, not in
+    run(), which callers use in-process with their own streams.
+    """
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

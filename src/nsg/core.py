@@ -49,12 +49,27 @@ go to _build directly.
 A glued semigroup does not come this way: glue sums its table from the two
 sides by the gluing Apery lemma (proof at gluing._glued) and hands it to
 the same _from_table that finishes every build.
+
+Every dataclass of the package but one is declared by _value_class: a
+frozen, slotted dataclass whose __init__ stores each field through its
+slot descriptor instead of by object.__setattr__.  Attribute reads cost no
+more, and a build about half: six positional fields, as in
+NumericalSemigroup, took 1.22-1.27 us with the generated frozen __init__
+and 0.67-0.71 us with this one, back to back on a 2-core host with
+Python 3.11.7 (1.48 -> 0.71 us on 3.10.13).  A census record pays for
+four builds: the node's semigroup and Apery table, its record, and the
+record read back.  A slotted class has no __weakref__ slot, and
+dataclass(weakref_slot=True), which adds one, needs Python 3.11, so
+NumericalSemigroup takes it from the slotted base _WeakReferable.  The one
+exception is gluing.CITree, a plain frozen dataclass: its cached_property
+degrees keeps its value in the instance __dict__, which a slotted class
+does not have.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, lru_cache
 from itertools import accumulate, compress
 from math import gcd
@@ -74,7 +89,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _value_class(cls):
+    """cls as a frozen, slotted dataclass whose __init__ stores through the slots.
+
+    dataclass(frozen=True, slots=True) makes the class and all it generates:
+    repr, ==, hash, FrozenInstanceError on setting or deleting a field,
+    fields/replace/asdict, pickling.  Its own __init__ would store each
+    field by object.__setattr__, as the class's __setattr__ raises; it is
+    not generated (init=False).  The __init__ built once here takes the
+    fields in order, as parameters of the same names and annotations, and
+    calls each field's slot descriptor __set__, bound now, which skips the
+    attribute lookup by name.  Every field must be such a required
+    parameter: a default, a keyword-only or init=False field, an InitVar
+    or ClassVar, or a __post_init__, raises TypeError, as this __init__
+    would drop what the generated one does for them.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    fs = fields(cls)
+    if (
+        hasattr(cls, "__post_init__")
+        # __dataclass_fields__ also lists the InitVar and ClassVar pseudo-fields
+        or len(fs) != len(cls.__dataclass_fields__)
+        or any(
+            f.default is not MISSING or f.default_factory is not MISSING or f.kw_only or not f.init
+            for f in fs
+        )
+    ):
+        raise TypeError(
+            f"value class {cls.__name__} must take each field as a required "
+            "parameter, with no default, InitVar, ClassVar or __post_init__"
+        )
+    names = [f.name for f in fs]
+    setters = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", setters, namespace)
+    init = namespace["__init__"]
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
+    cls.__init__ = init
+    return cls
+
+
+class _WeakReferable:
+    """A slotted base whose value-class subclasses take weak references.
+
+    A slotted class has no __weakref__ slot of its own, and
+    dataclass(weakref_slot=True), which adds one, needs Python 3.11.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+@_value_class
 class AperyTable:
     """Smallest semigroup element in each residue class mod `modulus`."""
 
@@ -88,8 +156,8 @@ class AperyTable:
         return dict(enumerate(self.entries))
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+@_value_class
+class NumericalSemigroup(_WeakReferable):
     generators: tuple[int, ...]
     multiplicity: int
     embedding_dim: int

@@ -51,7 +51,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
-from .core import NumericalSemigroup, _build, _from_table, apery_set, contains, make_semigroup
+from .core import (
+    NumericalSemigroup,
+    _build,
+    _from_table,
+    _value_class,
+    apery_set,
+    contains,
+    make_semigroup,
+)
 from .errors import (
     ConsistencyError,
     FamilyConstraintError,
@@ -74,7 +82,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_class
 class GluingSplit:
     """A way of writing a semigroup as mu*left_quotient + lam*right_quotient.
 
@@ -93,7 +101,12 @@ class GluingSplit:
 
 @dataclass(frozen=True)
 class CITree:
-    """Recursive gluing certificate; a leaf is the semigroup N."""
+    """Recursive gluing certificate; a leaf is the semigroup N.
+
+    A plain frozen dataclass, the one value class not declared by
+    core._value_class: cached_property keeps degrees in the instance
+    __dict__, which a slotted class does not have.
+    """
 
     semigroup: NumericalSemigroup
     split: GluingSplit | None

@@ -38,11 +38,10 @@ degrees against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _value_class
 from .errors import NegativeElementError
 
 __all__ = [
@@ -71,7 +70,7 @@ class Relation(NamedTuple):
     degree: int
 
 
-@dataclass(frozen=True)
+@_value_class
 class Presentation:
     relations: tuple[Relation, ...]
     degrees: tuple[int, ...]

@@ -71,12 +71,11 @@ branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _value_class
 from .errors import HypothesesNotMetError, InvalidPairError
 from .gluing import ci_tree, glue
 
@@ -135,7 +134,7 @@ def expected_verdict(tag: ExceptionClass) -> StarVerdict:
     return StarVerdict.UNDEFINED
 
 
-@dataclass(frozen=True)
+@_value_class
 class StarReport:
     frobenius: int
     d_max: int | None
@@ -143,7 +142,7 @@ class StarReport:
     margin: int | None
 
 
-@dataclass(frozen=True)
+@_value_class
 class SmallExceptionRecord:
     double_delta: int
     is_exception: bool
@@ -155,7 +154,7 @@ class GluingBranch(str, Enum):
     BOTH_TWO_GENERATED = "both_two_generated"
 
 
-@dataclass(frozen=True)
+@_value_class
 class GluingStarReport:
     branch: GluingBranch
     glued: NumericalSemigroup
@@ -165,7 +164,7 @@ class GluingStarReport:
     passed: bool
 
 
-@dataclass(frozen=True)
+@_value_class
 class HypothesisReport:
     embedding_dim: int
     is_ci: bool

@@ -508,3 +508,36 @@ def test_python_dash_m_runs_the_cli(module, capsys):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
     assert proc.returncode == 0 and proc.stdout
+
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # the text stays buffered until the flush in main
+        (["info", "4,6,9"], ""),
+        (["--help"], ""),
+        # a write in the handler fails, which run() reports
+        (["info", "1000,1999", "--format", "json"], "error: [Errno 32] Broken pipe\n"),
+    ],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(argv, err):
+    # with buffered stdout, text still buffered when the reader has gone used
+    # to fail again at interpreter shutdown: a traceback and exit 120
+    src = str(Path(nsg.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsg", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, err)

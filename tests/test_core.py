@@ -1,7 +1,12 @@
 """Construction, membership, Apery data, and the derived invariants."""
 
 import ast
+import copy
+import dataclasses
 import importlib
+import inspect
+import pickle
+import weakref
 from pathlib import Path
 
 import pytest
@@ -477,3 +482,112 @@ def test_public_names_are_the_modules_own_lists():
     del namespace["__builtins__"]
     assert set(namespace) == set(core.__all__)
     assert {"gcd", "compress", "gap_chunks"}.isdisjoint(namespace)
+
+
+def value_samples():
+    """One instance of each value class, from the library's own calls."""
+    s = make_semigroup([4, 6, 9])
+    samples = [
+        s,
+        s.apery,
+        nsg.record_for(s),
+        nsg.verify_star(5),
+        nsg.star_report(s),
+        check_star_gluing(make_semigroup([2, 3]), make_semigroup([2, 5]), 4, 7),
+        nsg.small_exceptions(3, 4),
+        nsg.hypotheses_report(s),
+        nsg.ci_tree(s).split,
+        nsg.minimal_presentation(s),
+    ]
+    return {type(sample): sample for sample in samples}
+
+
+def test_value_classes_behave_as_plain_frozen_dataclasses():
+    samples = value_samples()
+    value_classes = {
+        obj
+        for name in nsg.__all__
+        if dataclasses.is_dataclass(obj := getattr(nsg, name)) and obj is not nsg.CITree
+    }
+    assert set(samples) == value_classes and len(samples) == 10
+    for cls, sample in samples.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        # the same fields, and NumericalSemigroup's own hash, in a class with
+        # the generated frozen __init__
+        twin = dataclasses.make_dataclass(
+            cls.__name__,
+            [(f.name, f.type) for f in dataclasses.fields(cls)],
+            namespace={"__hash__": cls.__hash__} if cls is nsg.NumericalSemigroup else {},
+            frozen=True,
+        )
+        assert [f.name for f in dataclasses.fields(twin)] == names
+        assert inspect.signature(cls) == inspect.signature(twin)
+        assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
+        assert cls.__match_args__ == twin.__match_args__
+        values = [getattr(sample, name) for name in names]
+        keywords = dict(zip(names, copy.deepcopy(values)))
+        built = [cls(*values), cls(**keywords)]
+        twins = [twin(*values), twin(**keywords)]
+        for obj, other in (built, twins):
+            assert obj == other and hash(obj) == hash(other)
+        assert built[0] == sample and repr(built[0]) == repr(sample) == repr(twins[0])
+        assert hash(built[0]) == hash(twins[0])
+        assert dataclasses.asdict(built[0]) == dataclasses.asdict(twins[0])
+        # a changed field, by keyword; the value need not fit, the class does not check
+        for name in (names[0], names[-1]):
+            changed = dataclasses.replace(built[0], **{name: "changed"})
+            assert repr(changed) == repr(dataclasses.replace(twins[0], **{name: "changed"}))
+            assert changed != built[0] and getattr(changed, name) == "changed"
+        for obj in (built[0], twins[0]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, names[0], values[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, names[-1])
+        for copied in (pickle.loads(pickle.dumps(built[0])), copy.deepcopy(built[0])):
+            assert type(copied) is cls and copied == built[0] and repr(copied) == repr(built[0])
+        assert not hasattr(built[0], "__dict__")
+    semigroup = samples[nsg.NumericalSemigroup]
+    assert weakref.ref(semigroup)() is semigroup
+    assert dataclasses.asdict(samples[nsg.VerificationSummary])["per_genus"] == (1, 1, 2, 4, 7, 12)
+
+
+def test_value_class_refuses_what_its_init_would_skip():
+    class Default:
+        a: int
+        b: int = 1
+
+    class PostInit:
+        a: int
+
+        def __post_init__(self):
+            pass
+
+    class Init:
+        a: int
+        b: dataclasses.InitVar[int]
+
+    class Keyword:
+        a: int
+        b: int = dataclasses.field(kw_only=True)
+
+    for cls in (Default, PostInit, Init, Keyword):
+        with pytest.raises(TypeError, match="required parameter"):
+            core._value_class(cls)
+
+
+def test_every_dataclass_is_declared_by_value_class_but_citree():
+    # a class with the generated frozen __init__ pays object.__setattr__ per
+    # field on every build; CITree alone keeps it, because its cached_property
+    # degrees needs the instance __dict__ a slotted class lacks
+    declared = {"dataclass": [], "_value_class": []}
+    for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                    if name in declared:
+                        declared[name].append(node.name)
+    assert declared["dataclass"] == ["CITree"]
+    assert sorted(declared["_value_class"]) == sorted(cls.__name__ for cls in value_samples())

@@ -3,7 +3,12 @@
 import argparse
 import hashlib
 import importlib.util
+import os
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from nsg.cli import build_parser
 from test_cli import INFO_SHA256
@@ -51,3 +56,34 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     }
     assert {code for code, _, _ in digests.values()} == {"0", "1"}
     assert all((err_sha == empty) == (code == "0") for code, _, err_sha in digests.values())
+
+
+def python_3_10() -> str | None:
+    """A working Python 3.10 interpreter: python3.10 on PATH, else one pyenv installed."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [shutil.which("python3.10")]
+    candidates += sorted(map(str, pyenv.glob("versions/3.10.*/bin/python3.10")))
+    for exe in filter(None, candidates):
+        # a pyenv shim is on PATH even where it refuses to run
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+            capture_output=True, text=True, timeout=30,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == "True":
+            return exe
+    return None
+
+
+def test_cli_digest_is_the_same_under_python_3_10():
+    # pyproject.toml promises Python >= 3.10, and dataclass options such as
+    # weakref_slot=True only exist from 3.11; the script needs no package
+    exe = python_3_10()
+    if exe is None:
+        pytest.skip("no working Python 3.10 interpreter on PATH or in pyenv")
+    done = subprocess.run(
+        [exe, str(SCRIPTS / "cli_digest.py")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (TESTS / "cli_digest.txt").read_text()
