@@ -50,9 +50,9 @@ A glued semigroup does not come this way: glue sums its table from the two
 sides by the gluing Apery lemma (proof at gluing._glued) and hands it to
 the same _from_table that finishes every build.
 
-Every dataclass of the package but one is declared by _value_class: a
-frozen, slotted dataclass whose __init__ stores each field through its
-slot descriptor instead of by object.__setattr__.  Attribute reads cost no
+Every dataclass of the package is declared by _value_class: a frozen,
+slotted dataclass whose __init__ stores each field through its slot
+descriptor instead of by object.__setattr__.  Attribute reads cost no
 more, and a build about half: six positional fields, as in
 NumericalSemigroup, took 1.22-1.27 us with the generated frozen __init__
 and 0.67-0.71 us with this one, back to back on a 2-core host with
@@ -60,10 +60,7 @@ Python 3.11.7 (1.48 -> 0.71 us on 3.10.13).  A census record pays for
 four builds: the node's semigroup and Apery table, its record, and the
 record read back.  A slotted class has no __weakref__ slot, and
 dataclass(weakref_slot=True), which adds one, needs Python 3.11, so
-NumericalSemigroup takes it from the slotted base _WeakReferable.  The one
-exception is gluing.CITree, a plain frozen dataclass: its cached_property
-degrees keeps its value in the instance __dict__, which a slotted class
-does not have.
+NumericalSemigroup takes it from the slotted base _WeakReferable.
 """
 
 from __future__ import annotations

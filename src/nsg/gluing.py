@@ -30,15 +30,16 @@ is_complete_intersection decides by it alone; the tests check the relation
 count against it.  The left part of a split, the one holding the
 multiplicity m, is the set of generators divisible by its own gcd, so the
 splits are searched over the divisors of m, not over all partitions of the
-generators, and integer tests discard most candidates before their
-quotients are built (proof at _splits).  The first gluing split of a
-semigroup decides: its quotients are complete intersections exactly when
-the semigroup is one, by the relation count of the gluing (proof at
-ci_tree).  Every complete intersection has multiplicity at least 2^(e-1)
-for e generators, so ci_tree rejects the rest before it looks for a split,
-and before its cache.  The relation degrees of a complete intersection are
-read off its tree by the first identity above, once per tree node; no
-presentation is built, and the tests compare the two.
+generators, each distinct class is built once, and integer tests discard
+most candidates before their quotients are built (proof at _splits).  The
+first gluing split of a semigroup decides: its quotients are complete
+intersections exactly when the semigroup is one, by the relation count of
+the gluing (proof at ci_tree).  Every complete intersection has
+multiplicity at least 2^(e-1) for e generators, so ci_tree rejects the rest
+before it looks for a split, and before its cache.  The relation degrees of
+a complete intersection are stored in each tree node as it is built, from
+the degrees its two children stored, by the first identity above (proof at
+_ci_tree); no presentation is built, and the tests compare the two.
 
 For complete intersections the a-invariant is sum(relation degrees) minus
 sum(generators), and it coincides with the Frobenius number.
@@ -47,8 +48,7 @@ sum(generators), and it coincides with the Frobenius number.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .core import (
@@ -99,19 +99,21 @@ class GluingSplit:
     right_quotient: NumericalSemigroup
 
 
-@dataclass(frozen=True)
+@_value_class
 class CITree:
     """Recursive gluing certificate; a leaf is the semigroup N.
 
-    A plain frozen dataclass, the one value class not declared by
-    core._value_class: cached_property keeps degrees in the instance
-    __dict__, which a slotted class does not have.
+    degrees is the relation degree multiset of the semigroup, ascending, and
+    () for N.  _ci_tree stores it when it builds the node, from the stored
+    degrees of the two children (proof there), so each node computes it
+    once and a read is a field read.
     """
 
     semigroup: NumericalSemigroup
     split: GluingSplit | None
     left: CITree | None
     right: CITree | None
+    degrees: tuple[int, ...]
 
     @property
     def is_leaf(self) -> bool:
@@ -121,30 +123,6 @@ class CITree:
     def extra_degree(self) -> int | None:
         """lam * mu of the root split; None for a leaf."""
         return None if self.is_leaf else self.split.lam * self.split.mu
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        """The relation degree multiset of the semigroup, ascending.
-
-        For S = mu*S1 + lam*S2 it is mu*degrees(S1) + lam*degrees(S2) +
-        {lam*mu}, and () for N.  Proof: scaling minimal presentations of S1
-        and S2 by mu and lam, and adding the one relation equating lam,
-        written in the generators of S1, with mu, written in those of S2,
-        presents S (Rosales, Semigroup Forum 1997); that relation has degree
-        lam*mu.  By induction both sides are complete intersections with
-        e1 - 1 and e2 - 1 relations, so this presentation has e - 1, the
-        fewest any presentation of an e-generated numerical semigroup can
-        have.  It is therefore minimal, and all minimal presentations share
-        one degree multiset.
-
-        Computed once per node and kept: the tree is immutable, and each
-        gluing item and census record reads it more than once.
-        """
-        if self.is_leaf:
-            return ()
-        mu, lam = self.split.mu, self.split.lam
-        scaled = [mu * d for d in self.left.degrees] + [lam * d for d in self.right.degrees]
-        return tuple(sorted(scaled + [lam * mu]))
 
     def to_text(self) -> str:
         if self.is_leaf:
@@ -279,8 +257,9 @@ def _splits(semigroup: NumericalSemigroup) -> Iterator[GluingSplit]:
     L_d = gens & gcd(L_d)Z, as d | gcd(L_d), so it is one candidate
     whichever d names it, with the rest of gens as its right part.  There
     are at most tau(m) - 1 candidates, against the 2^(e-1) partitions with
-    m on the left, and finding them costs trial division to sqrt(m) plus
-    O(e) per divisor.  They are taken by size then content of the left
+    m on the left, and finding them costs trial division to sqrt(m), one
+    O(e) pass per divisor, each distinct class kept once, and a sort of the
+    distinct classes.  They are taken by size then content of the left
     part, the order of combinations over gens[1:].
 
     Before its quotients are built, a class is skipped on integer tests
@@ -293,8 +272,13 @@ def _splits(semigroup: NumericalSemigroup) -> Iterator[GluingSplit]:
     """
     gens = semigroup.generators
     m = gens[0]
-    divisors = {k for d in range(1, isqrt(m) + 1) if m % d == 0 for k in (d, m // d)} - {1}
-    classes = {tuple(a for a in gens if a % d == 0) for d in divisors} - {gens}
+    classes = {
+        tuple([a for a in gens if a % k == 0])
+        for d in range(1, isqrt(m) + 1)
+        if m % d == 0
+        for k in (d, m // d)
+    }
+    classes.discard(gens)  # the class of k = 1
     for left_part in sorted(classes, key=lambda part: (len(part), part)):
         mu = gcd(*left_part)
         right_part = tuple(b for b in gens if b % mu)
@@ -308,7 +292,7 @@ def _splits(semigroup: NumericalSemigroup) -> Iterator[GluingSplit]:
             continue
         # the quotient generators a/mu stay minimal, or a would be a sum of
         # other generators of the semigroup; likewise b/lam.  So e1 + e2 = e,
-        # which the proofs at ci_tree and CITree.degrees use.  Sorted,
+        # which the proofs at ci_tree and _ci_tree use.  Sorted,
         # distinct and of gcd 1 as divided, they need no make_semigroup
         left_quotient = _build(tuple(a // mu for a in left_part))
         right_quotient = _build(tuple(b // lam for b in right_part))
@@ -341,7 +325,7 @@ def extra_degree(
 ) -> int:
     """The one relation degree of the gluing not inherited from the sides.
 
-    It is lam * mu (proof at CITree.degrees).  glued must be the gluing
+    It is lam * mu (proof at _ci_tree).  glued must be the gluing
     mu*left + lam*right: glue validates the arguments and returns the one
     object it built for them, and a different glued raises
     ConsistencyError.
@@ -379,7 +363,7 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     they settle, most of any census, are neither hashed nor kept.
     """
     if semigroup.embedding_dim == 1:
-        return CITree(semigroup, None, None, None)
+        return CITree(semigroup, None, None, None, ())
     if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
         return None
     return _ci_tree(semigroup)
@@ -387,7 +371,19 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
 
 @lru_cache(maxsize=4096)
 def _ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
-    """ci_tree past its two checks: the tree over the first split, or None."""
+    """ci_tree past its two checks: the tree over the first split, or None.
+
+    The node stores the relation degree multiset of S = mu*S1 + lam*S2,
+    ascending: mu*degrees(S1) + lam*degrees(S2) + {lam*mu}, from the tuples
+    its children stored.  Proof: scaling minimal presentations of S1 and S2
+    by mu and lam, and adding the one relation equating lam, written in the
+    generators of S1, with mu, written in those of S2, presents S (Rosales,
+    Semigroup Forum 1997); that relation has degree lam*mu.  By induction
+    both sides are complete intersections with e1 - 1 and e2 - 1 relations,
+    so this presentation has e - 1, the fewest any presentation of an
+    e-generated numerical semigroup can have.  It is therefore minimal, and
+    all minimal presentations share one degree multiset.
+    """
     split = next(_splits(semigroup), None)
     if split is None:
         return None
@@ -397,7 +393,9 @@ def _ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     right = ci_tree(split.right_quotient)
     if right is None:
         return None
-    return CITree(semigroup, split, left, right)
+    mu, lam = split.mu, split.lam
+    scaled = [mu * d for d in left.degrees] + [lam * d for d in right.degrees]
+    return CITree(semigroup, split, left, right, tuple(sorted(scaled + [lam * mu])))
 
 
 def is_complete_intersection(semigroup: NumericalSemigroup) -> bool:

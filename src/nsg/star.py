@@ -20,7 +20,7 @@ The margin recursion.  Let S = mu*S1 + lam*S2 be the root split of a gluing
 tree (gluing module), with multiplicities m1, m2 and F(N) = -1.  Then
 F = lam*mu + mu*F1 + lam*F2 (Delorme, 1976), and d_max = max(lam*mu,
 mu*d1, lam*d2), a side's term left out when that side is N, which has no
-relations (proof at CITree.degrees).  So margin(S) = 2F - d_max is the
+relations (proof at gluing._ci_tree).  So margin(S) = 2F - d_max is the
 minimum of the three terms
 
     T0 = 2F - lam*mu   = lam*mu + 2*mu*F1 + 2*lam*F2
@@ -281,17 +281,13 @@ def check_star_gluing(
             f"no hypothesis branch covers gluing {left} with {right}"
         )
     # both sides are complete intersections on every branch, so glued is one
-    # and has a tree (proof at ci_tree)
+    # and has a tree (proof at ci_tree); lam * mu is its extra degree (proof
+    # at gluing._ci_tree)
     frob = glued.frobenius
-    checks = tuple((deg, 2 * frob > deg) for deg in ci_tree(glued).degrees)
-    return GluingStarReport(
-        branch=branch,
-        glued=glued,
-        frobenius=frob,
-        extra_degree=lam * mu,  # proof at CITree.degrees
-        degree_checks=checks,
-        passed=all(ok for _, ok in checks),
-    )
+    degrees = ci_tree(glued).degrees
+    checks = tuple([(deg, 2 * frob > deg) for deg in degrees])
+    # the degrees are stored ascending, so every check passes when the last does
+    return GluingStarReport(branch, glued, frob, lam * mu, checks, 2 * frob > degrees[-1])
 
 
 def hypotheses_report(semigroup: NumericalSemigroup) -> HypothesisReport:

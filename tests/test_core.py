@@ -496,6 +496,7 @@ def value_samples():
         check_star_gluing(make_semigroup([2, 3]), make_semigroup([2, 5]), 4, 7),
         nsg.small_exceptions(3, 4),
         nsg.hypotheses_report(s),
+        nsg.ci_tree(s),
         nsg.ci_tree(s).split,
         nsg.minimal_presentation(s),
     ]
@@ -507,9 +508,9 @@ def test_value_classes_behave_as_plain_frozen_dataclasses():
     value_classes = {
         obj
         for name in nsg.__all__
-        if dataclasses.is_dataclass(obj := getattr(nsg, name)) and obj is not nsg.CITree
+        if dataclasses.is_dataclass(obj := getattr(nsg, name))
     }
-    assert set(samples) == value_classes and len(samples) == 10
+    assert set(samples) == value_classes and len(samples) == 11
     for cls, sample in samples.items():
         names = [f.name for f in dataclasses.fields(cls)]
         # the same fields, and NumericalSemigroup's own hash, in a class with
@@ -575,10 +576,9 @@ def test_value_class_refuses_what_its_init_would_skip():
             core._value_class(cls)
 
 
-def test_every_dataclass_is_declared_by_value_class_but_citree():
+def test_every_dataclass_is_declared_by_value_class():
     # a class with the generated frozen __init__ pays object.__setattr__ per
-    # field on every build; CITree alone keeps it, because its cached_property
-    # degrees needs the instance __dict__ a slotted class lacks
+    # field on every build; none keeps it
     declared = {"dataclass": [], "_value_class": []}
     for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -589,5 +589,5 @@ def test_every_dataclass_is_declared_by_value_class_but_citree():
                     name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
                     if name in declared:
                         declared[name].append(node.name)
-    assert declared["dataclass"] == ["CITree"]
+    assert declared["dataclass"] == []
     assert sorted(declared["_value_class"]) == sorted(cls.__name__ for cls in value_samples())

@@ -302,17 +302,19 @@ def test_first_gluing_split_decides_complete_intersection():
     # ci_tree takes only the first split, by the relation count of a gluing
     # (proof at ci_tree); here every split of every semigroup is checked
     # against it, and ci_tree against a backtracking search over all splits
+    # whose trees store the degrees of measured minimal presentations, so
+    # tree == search(s) also checks the degrees _ci_tree stores
     splits = cache(find_gluings)
 
     @cache
     def search(s):
         if s.embedding_dim == 1:
-            return CITree(semigroup=s, split=None, left=None, right=None)
+            return CITree(s, None, None, None, minimal_presentation(s).degrees)
         for split in splits(s):
             left = search(split.left_quotient)
             right = None if left is None else search(split.right_quotient)
             if right is not None:
-                return CITree(semigroup=s, split=split, left=left, right=right)
+                return CITree(s, split, left, right, minimal_presentation(s).degrees)
         return None
 
     semigroups = list(enumerate_semigroups(15)) + seeded_gluings()
