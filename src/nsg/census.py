@@ -16,8 +16,9 @@ records and semigroups are built with positional arguments (six of them,
 for a NumericalSemigroup, took 0.67-0.71 us against 1.06-1.08 us by
 keyword, back to back on a 2-core host with Python 3.11.7), every non-CI
 record shares the one StarReport of its Frobenius number (star_report),
-and read_records decodes a line with one raw_decode, falling back to
-json.loads only to raise its error.
+record_for settles the nodes below the CI multiplicity bound, most of the
+census, without a CI decision, and read_records decodes a line with one
+raw_decode, falling back to json.loads only to raise its error.
 
 Each enumerated semigroup is condensed into a CensusRecord and serialized as
 one JSON object per line with a fixed field set:
@@ -26,12 +27,14 @@ one JSON object per line with a fixed field set:
     d_max, exception
 
 The census runs in one process.  Written records are canonically ordered by
-(genus, generators), so enumerate_records holds them all and sorts them
-once.  The summary does not depend on record order, so verify_star folds
-summarize over the walk and holds no record list.  A work ceiling (default
-genus 15, overridable via the NSG_WORK_CEILING environment variable or the
-ceiling argument) bounds what a single call may attempt; everything it
-allows is exhaustive verification up to the bound, never a proof beyond it.
+(genus, generators); the walk gives each genus in reverse canonical order,
+so enumerate_records holds them all in one list per genus and reverses
+each, with no sort.  The summary does not depend on record order, so
+verify_star folds summarize over the walk and holds no record list.  A
+work ceiling (default genus 15, overridable via the NSG_WORK_CEILING
+environment variable or the ceiling argument) bounds what a single call
+may attempt; everything it allows is exhaustive verification up to the
+bound, never a proof beyond it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from typing import Iterable, Iterator
 
 from .core import AperyTable, NumericalSemigroup, _build, _value_class, make_semigroup
 from .errors import BoundTooLargeError, MalformedRecordError
+from .gluing import _below_ci_bound
 from .star import (
     EXCEPTION_TAGS,
     ExceptionClass,
@@ -88,6 +92,8 @@ RECORD_FIELDS = (
 
 @_value_class
 class CensusRecord:
+    """One census line: a semigroup's invariants, star report and exception tag."""
+
     generators: tuple[int, ...]
     genus: int
     frobenius: int
@@ -99,6 +105,8 @@ class CensusRecord:
 
 @_value_class
 class VerificationSummary:
+    """A census condensed: counts per genus, CIs, star failures and counterexamples."""
+
     bound: int
     total: int
     ci_count: int
@@ -211,6 +219,10 @@ def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigro
 
 
 def _check_bound(max_genus: int, ceiling: int | None) -> None:
+    # bool is an int subclass, and a float or Decimal bound would walk past
+    # itself: the walk stops at genus == max_genus only for an int
+    if type(max_genus) is not int:
+        raise TypeError(f"max_genus must be an int, got {max_genus!r}")
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
     limit = ceiling if ceiling is not None else work_ceiling()
@@ -230,8 +242,29 @@ def enumerate_semigroups(
 
 
 def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
-    # the tag is not checked against the verdict here: summarize() turns a
-    # disagreement into a counterexample, so the sweep keeps going
+    """The census record of one semigroup: its invariants, star report and tag.
+
+    A semigroup below the CI multiplicity bound, m < 2^(e-1), is no
+    complete intersection (proof at gluing.ci_tree), and N is not below it.
+    So for it star_report returns _undefined_report(F) and _pattern_class
+    returns NOT_CI, as e >= 2 and the verdict is undefined; the record is
+    built from those two directly, with no call to either.  Every other
+    semigroup, N and the CI candidates, takes the route through
+    star_report.  The tag is not checked against the verdict here:
+    summarize turns a disagreement into a counterexample, so the sweep
+    keeps going.
+    """
+    if _below_ci_bound(semigroup):
+        frobenius = semigroup.frobenius
+        return CensusRecord(
+            semigroup.generators,
+            semigroup.genus,
+            frobenius,
+            semigroup.embedding_dim,
+            False,
+            _undefined_report(frobenius),
+            ExceptionClass.NOT_CI,
+        )
     star = star_report(semigroup)
     tag = _pattern_class(semigroup, star)
     return CensusRecord(
@@ -246,10 +279,20 @@ def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
 
 
 def enumerate_records(max_genus: int, *, ceiling: int | None = None) -> list[CensusRecord]:
-    """Census records for genus <= max_genus in canonical order."""
+    """Census records for genus <= max_genus in canonical order, with no sort.
+
+    Canonical order is ascending (genus, generators).  _walk gives each
+    genus in strictly descending generator order (proof there), so each
+    genus's records, appended to its own list in walk order and read back
+    reversed, ascend; the lists go in ascending genus.
+    """
     _check_bound(max_genus, ceiling)
-    records = [record_for(s) for s in _walk(natural_numbers(), max_genus)]
-    records.sort(key=lambda r: (r.genus, r.generators))
+    buckets = [[] for _ in range(max_genus + 1)]
+    for s in _walk(natural_numbers(), max_genus):
+        buckets[s.genus].append(record_for(s))
+    records = []
+    for bucket in buckets:
+        records += reversed(bucket)
     return records
 
 

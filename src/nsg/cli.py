@@ -98,15 +98,15 @@ def _print_rows(pairs, width: int | None = None) -> None:
 WRITE_BATCH = 1 << 16
 
 
-def _write_gaps(out, s, sep: str) -> bool:
-    """Write sep.join(gap_chunks(s, sep)) to out in batches of chunks; True if any gap.
+def _write_gaps(out, chunks, sep: str) -> bool:
+    """Write sep.join(chunks) to out in batches of chunks; True if any gap.
 
     Each batch is written as sep.join of its chunks.  Every batch after the
     first opens with "", so its join starts with the sep that continues
     the text, and the writes join to the whole text.
     """
     batch, size = [], 0
-    for chunk in gap_chunks(s, sep):
+    for chunk in chunks:
         batch.append(chunk)
         size += len(chunk) + len(sep)
         if size >= WRITE_BATCH:
@@ -134,7 +134,9 @@ def _cmd_info(args) -> int:
     large semigroup, is never held whole.  The apery dict is dumped as it
     is: json.dumps writes its int keys as strings, as it would inside doc.
     The text rows are head's, through _doc_rows, then the gaps row ("none"
-    for none), written the same way, and the Apery row.
+    for none), written the same way, and the Apery row.  gap_chunks builds
+    the gap mask when it is called, before any output, so a semigroup whose
+    gaps cannot be listed fails with nothing written.
     """
     s = make_semigroup(args.generators)
     apery = s.apery.as_dict()
@@ -147,16 +149,18 @@ def _cmd_info(args) -> int:
     }
     out = sys.stdout
     if args.format == "json":
+        chunks = gap_chunks(s, ", ")
         out.write(json.dumps(head)[:-1] + ', "gaps": [')
-        _write_gaps(out, s, ", ")
+        _write_gaps(out, chunks, ", ")
         out.write('], "apery": ' + json.dumps(apery) + "}\n")
         return 0
+    chunks = gap_chunks(s, ",")
     apery_row = (f"apery mod {s.multiplicity}", " ".join(f"{r}:{w}" for r, w in apery.items()))
     rows = _doc_rows(head)
     width = max(map(len, [label for label, _ in rows] + ["gaps", apery_row[0]]))
     _print_rows(rows, width)
     out.write(f"{'gaps:':<{width + 2}}")
-    if not _write_gaps(out, s, ","):
+    if not _write_gaps(out, chunks, ","):
         out.write("none")
     out.write("\n")
     _print_rows([apery_row], width)
@@ -335,7 +339,8 @@ def _cmd_verify(args) -> int:
     """Print the verification summary; exit 1 if it lists a counterexample.
 
     Without --out the summary is folded over the walk (verify_star).  The
-    file needs canonical order, so --out holds and sorts the records.
+    file needs canonical order, so --out holds the records, one list per
+    genus that enumerate_records reverses.
     """
     if args.out:
         records = enumerate_records(args.max_genus)

@@ -65,6 +65,7 @@ NumericalSemigroup takes it from the slotted base _WeakReferable.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, lru_cache
@@ -155,6 +156,8 @@ class AperyTable:
 
 @_value_class
 class NumericalSemigroup(_WeakReferable):
+    """A numerical semigroup by its minimal generators, ascending, with its invariants."""
+
     generators: tuple[int, ...]
     multiplicity: int
     embedding_dim: int
@@ -294,7 +297,14 @@ def _gap_mask(semigroup: NumericalSemigroup) -> bytearray:
     Class r holds the gaps r, r + m, ..., entry(r) - m, (entry(r) - r) // m
     of them since entry(r) = r (mod m), all at most max(entries) - m = F;
     so each slice r:entry(r):m of the mask has exactly that many places.
+    No sequence is longer than sys.maxsize, so a larger F + 1 raises
+    ValueError before anything is allocated.
     """
+    if semigroup.frobenius >= sys.maxsize:
+        raise ValueError(
+            f"cannot list the gaps of {semigroup}: F + 1 = {semigroup.frobenius + 1} "
+            f"exceeds sys.maxsize = {sys.maxsize}"
+        )
     m = semigroup.multiplicity
     mask = bytearray(semigroup.frobenius + 1)
     for r, w in enumerate(semigroup.apery.entries):

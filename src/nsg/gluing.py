@@ -360,13 +360,22 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     sum of two nonzero elements and lam >= 2*m1; likewise mu >= 2*m2.  So
     m = min(mu*m1, lam*m2) >= 2*m1*m2 >= 2 * 2^(e1-1) * 2^(e2-1) = 2^(e-1).
     Both checks come before the cached search, _ci_tree, so the semigroups
-    they settle, most of any census, are neither hashed nor kept.
+    they settle, most of any census, are neither hashed nor kept; the bound
+    is _below_ci_bound, which census.record_for reads too.
     """
     if semigroup.embedding_dim == 1:
         return CITree(semigroup, None, None, None, ())
-    if semigroup.multiplicity < 2 ** (semigroup.embedding_dim - 1):
+    if _below_ci_bound(semigroup):
         return None
     return _ci_tree(semigroup)
+
+
+def _below_ci_bound(semigroup: NumericalSemigroup) -> bool:
+    """Whether m < 2^(e-1), so that the semigroup is no complete intersection.
+
+    Proof at ci_tree.  N (m = 1 = 2^0) is not below the bound.
+    """
+    return semigroup.multiplicity < 1 << (semigroup.embedding_dim - 1)
 
 
 @lru_cache(maxsize=4096)

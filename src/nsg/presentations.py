@@ -72,6 +72,8 @@ class Relation(NamedTuple):
 
 @_value_class
 class Presentation:
+    """A minimal presentation: its relations and their degrees, in (degree, left) order."""
+
     relations: tuple[Relation, ...]
     degrees: tuple[int, ...]
 

@@ -136,6 +136,8 @@ def expected_verdict(tag: ExceptionClass) -> StarVerdict:
 
 @_value_class
 class StarReport:
+    """The star condition 2F > d_max; d_max and margin 2F - d_max are None when undefined."""
+
     frobenius: int
     d_max: int | None
     verdict: StarVerdict
@@ -144,6 +146,8 @@ class StarReport:
 
 @_value_class
 class SmallExceptionRecord:
+    """Twice F(<m, n>) minus its relation degree, and whether <m, n> fails star."""
+
     double_delta: int
     is_exception: bool
 
@@ -156,6 +160,8 @@ class GluingBranch(str, Enum):
 
 @_value_class
 class GluingStarReport:
+    """The star check of one gluing: its branch, and 2F > d for each relation degree d."""
+
     branch: GluingBranch
     glued: NumericalSemigroup
     frobenius: int
@@ -166,6 +172,8 @@ class GluingStarReport:
 
 @_value_class
 class HypothesisReport:
+    """Which hypothesis branch covers the semigroup ring, and whether it holds."""
+
     embedding_dim: int
     is_ci: bool
     star: StarReport

@@ -4,10 +4,13 @@ import dataclasses
 import io
 import json
 import random
+import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nsg.census
 import nsg.star
 from nsg import (
     BoundTooLargeError,
@@ -23,6 +26,7 @@ from nsg import (
     read_records,
     record_for,
     record_to_doc,
+    star_report,
     summarize,
     verify_star,
     work_ceiling,
@@ -142,6 +146,19 @@ def test_enumerate_rejects_bad_bounds():
         enumerate_records(-1, ceiling=-2)
 
 
+@pytest.mark.parametrize("bound", [2.5, "3", True, Decimal(2)])
+def test_a_bound_that_is_not_an_int_is_refused_before_any_work(bound, monkeypatch):
+    # a float bound once walked past itself, to genus 3 for 2.5; the check
+    # comes before the walk starts, so no node is built
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(nsg.census, "natural_numbers", no_walk)
+    for entry in (enumerate_semigroups, enumerate_records, verify_star):
+        with pytest.raises(TypeError, match=re.escape(f"max_genus must be an int, got {bound!r}")):
+            entry(bound)
+
+
 def test_work_ceiling_env_override(monkeypatch):
     assert work_ceiling() == DEFAULT_WORK_CEILING
     monkeypatch.setenv(ENV_WORK_CEILING, "3")
@@ -171,15 +188,22 @@ def test_record_for_golden():
 
 
 def test_records_are_canonically_ordered():
-    records = enumerate_records(5)
-    keys = [(r.genus, r.generators) for r in records]
-    assert keys == sorted(keys)
-    assert len(records) == sum(KNOWN_COUNTS[:6])
+    # enumerate_records reverses the walk's per-genus lists instead of
+    # sorting; the order must still be the sorted one
+    keys = [(r.genus, r.generators) for r in enumerate_records(15)]
+    assert keys == sorted((s.genus, s.generators) for s in enumerate_semigroups(15))
+    assert len(set(keys)) == len(keys) == 6964
+
+
+def _ci_candidate(s):
+    # the multiplicity bound of a complete intersection other than N,
+    # written out here rather than read from nsg.gluing
+    return s.embedding_dim > 1 and s.multiplicity >= 2 ** (s.embedding_dim - 1)
 
 
 def test_one_ci_decision_per_census_record(monkeypatch):
-    # star_report decides CI with one ci_tree call and record_for reads it
-    # off the report; N needs no decision at all
+    # a CI candidate gets one ci_tree call, through star_report; N needs no
+    # decision, and record_for settles a node below the bound without one
     real = nsg.star.ci_tree
     calls = []
 
@@ -188,10 +212,31 @@ def test_one_ci_decision_per_census_record(monkeypatch):
         return real(semigroup)
 
     monkeypatch.setattr(nsg.star, "ci_tree", counted)
-    for s in enumerate_semigroups(8):
+    settled = 0
+    for s in enumerate_semigroups(10):
         before = len(calls)
         record_for(s)
-        assert len(calls) - before == (s.embedding_dim > 1), s
+        assert len(calls) - before == _ci_candidate(s), s
+        settled += s.embedding_dim > 1 and not _ci_candidate(s)
+    assert settled > 0
+
+
+def test_record_for_matches_the_star_report_route_through_genus_15():
+    # record_for's shortcut for the nodes below the CI multiplicity bound
+    # against the route every node took before it
+    count = 0
+    for s in enumerate_semigroups(15):
+        star = star_report(s)
+        tag = nsg.star._pattern_class(s, star)
+        slow = CensusRecord(s.generators, s.genus, s.frobenius, s.embedding_dim,
+                            tag is not ExceptionClass.NOT_CI, star, tag)
+        record = record_for(s)
+        assert record == slow, s
+        if s.embedding_dim > 1 and not _ci_candidate(s):
+            assert record.star is nsg.star._undefined_report(s.frobenius), s
+            assert record.exception is ExceptionClass.NOT_CI
+        count += 1
+    assert count == 6964
 
 
 def test_round_trip_through_file(tmp_path):

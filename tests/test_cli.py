@@ -106,6 +106,22 @@ def test_info_never_builds_the_gap_list(capsys, monkeypatch):
         assert info_digest(capsys, "1000,1999", fmt) == INFO_SHA256["1000,1999", fmt]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_info_with_gaps_past_sys_maxsize_fails_before_any_output(fmt, capsys):
+    # F + 1 is no possible sequence length; the head and the JSON "gaps": [
+    # used to go out before an OverflowError traceback
+    big = 10**23 - 1
+    code, out, err = run_cli(capsys, "info", f"{big},2", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot list the gaps of <2,{big}>: F + 1 = {big - 1} "
+        f"exceeds sys.maxsize = {sys.maxsize}\n"
+    )
+    for gap_list in (nsg.gaps, lambda s: nsg.gap_text(s, ",")):
+        with pytest.raises(ValueError, match="exceeds sys.maxsize"):
+            gap_list(nsg.make_semigroup([2, big]))
+
+
 class WriteSizes(io.StringIO):
     """A text sink that keeps the length of every write."""
 

@@ -5,7 +5,10 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -550,6 +553,30 @@ def test_value_classes_behave_as_plain_frozen_dataclasses():
     semigroup = samples[nsg.NumericalSemigroup]
     assert weakref.ref(semigroup)() is semigroup
     assert dataclasses.asdict(samples[nsg.VerificationSummary])["per_genus"] == (1, 1, 2, 4, 7, 12)
+
+
+def test_value_classes_have_docstrings_and_importing_nsg_computes_no_signature():
+    # dataclass gives a class without a docstring one built by
+    # inspect.signature; with no __init__ of its own to read (init=False) it
+    # falls back to object's, which costs a tokenize and yields "Name()"
+    src = str(Path(nsg.__file__).resolve().parent.parent)
+    code = (
+        "import inspect\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('inspect.signature called')\n"
+        "inspect.signature = refuse\n"
+        "import nsg, nsg.cli\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for cls in value_samples():
+        assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "("), cls
 
 
 def test_value_class_refuses_what_its_init_would_skip():
