@@ -14,9 +14,9 @@ comparing them is one diff:
 
 The list, COMMANDS below, runs every subcommand in json and in text: the
 benchmark's large-single ladder, the empty edge N = <1>, both routes of
-the gap writer and of the Betti scan, and the error paths, with a comment
-on each input that needs one.  It is fixed here, so that digests taken at
-different commits stay comparable.
+the gap writer and of the Betti scan, every exception tag, and the error
+paths, with a comment on each input that needs one.  It is fixed here, so
+that digests taken at different commits stay comparable.
 
 tests/cli_digest.txt holds these lines as the last tree with intended
 output printed them, and tests/test_scripts.py asserts that the script
@@ -74,6 +74,13 @@ SINGLE = (
     ("ci-tree", "4,6,15"),
     ("ci-tree", "6,8,9"),
     ("ci-tree", "8,9,10,12,14"),
+    # one input per failure tag, <2,q>, <3,4> and <3,5>, and a CI
+    # candidate (m = 4 >= 2^2) with no split
+    *(
+        (command, generators)
+        for generators in ("2,5", "3,4", "3,5", "4,5,7")
+        for command in ("star", "classify", "hypotheses")
+    ),
 )
 # (left, right, lambda, mu) of mu*left + lambda*right; glue and inductive
 # exit 1 on the last, and inductive on the first, whose left side fails star

@@ -15,10 +15,10 @@ A record costs a few object builds, so the census keeps each one cheap:
 records and semigroups are built with positional arguments (six of them,
 for a NumericalSemigroup, took 0.67-0.71 us against 1.06-1.08 us by
 keyword, back to back on a 2-core host with Python 3.11.7), every non-CI
-record shares the one StarReport of its Frobenius number (star_report),
-record_for settles the nodes below the CI multiplicity bound, most of the
-census, without a CI decision, and read_records decodes a line with one
-raw_decode, falling back to json.loads only to raise its error.
+record shares the one StarReport of its Frobenius number (star._undefined),
+star._classify settles the nodes below the CI multiplicity bound, most of
+the census, without a CI decision, and read_records decodes a line with
+one raw_decode, falling back to json.loads only to raise its error.
 
 Each enumerated semigroup is condensed into a CensusRecord and serialized as
 one JSON object per line with a fixed field set:
@@ -32,9 +32,9 @@ so enumerate_records holds them all in one list per genus and reverses
 each, with no sort.  The summary does not depend on record order, so
 verify_star folds summarize over the walk and holds no record list.  A
 work ceiling (default genus 15, overridable via the NSG_WORK_CEILING
-environment variable or the ceiling argument) bounds what a single call
-may attempt; everything it allows is exhaustive verification up to the
-bound, never a proof beyond it.
+environment variable) bounds what a single call may attempt; everything
+it allows is exhaustive verification up to the bound, never a proof
+beyond it.
 """
 
 from __future__ import annotations
@@ -46,16 +46,15 @@ from typing import Iterable, Iterator
 
 from .core import AperyTable, NumericalSemigroup, _build, _value_class, make_semigroup
 from .errors import BoundTooLargeError, MalformedRecordError
-from .gluing import _below_ci_bound
 from .star import (
     EXCEPTION_TAGS,
+    _NOT_CI,
     ExceptionClass,
     StarReport,
     StarVerdict,
-    _pattern_class,
-    _undefined_report,
+    _classify,
+    _undefined,
     expected_verdict,
-    star_report,
 )
 
 __all__ = [
@@ -218,67 +217,49 @@ def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigro
         node = _remove_generator(*stack.pop())
 
 
-def _check_bound(max_genus: int, ceiling: int | None) -> None:
+def _check_bound(max_genus: int) -> None:
     # bool is an int subclass, and a float or Decimal bound would walk past
     # itself: the walk stops at genus == max_genus only for an int
     if type(max_genus) is not int:
         raise TypeError(f"max_genus must be an int, got {max_genus!r}")
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
-    limit = ceiling if ceiling is not None else work_ceiling()
+    limit = work_ceiling()
     if max_genus > limit:
         raise BoundTooLargeError(
             f"genus bound {max_genus} exceeds the work ceiling {limit}"
         )
 
 
-def enumerate_semigroups(
-    max_genus: int, *, ceiling: int | None = None
-) -> Iterator[NumericalSemigroup]:
+def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup of genus <= max_genus, depth-first; within
     a genus in strictly descending generator order (proof at _walk)."""
-    _check_bound(max_genus, ceiling)
+    _check_bound(max_genus)
     return _walk(natural_numbers(), max_genus)
 
 
 def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
     """The census record of one semigroup: its invariants, star report and tag.
 
-    A semigroup below the CI multiplicity bound, m < 2^(e-1), is no
-    complete intersection (proof at gluing.ci_tree), and N is not below it.
-    So for it star_report returns _undefined_report(F) and _pattern_class
-    returns NOT_CI, as e >= 2 and the verdict is undefined; the record is
-    built from those two directly, with no call to either.  Every other
-    semigroup, N and the CI candidates, takes the route through
-    star_report.  The tag is not checked against the verdict here:
-    summarize turns a disagreement into a counterexample, so the sweep
-    keeps going.
+    The report and tag are star._classify's, one call, which settles the
+    nodes below the CI multiplicity bound, most of the census, without a CI
+    decision; is_ci is whether the tag is other than not_ci.  The tag is not
+    checked against the verdict here: summarize turns a disagreement into a
+    counterexample, so the sweep keeps going.
     """
-    if _below_ci_bound(semigroup):
-        frobenius = semigroup.frobenius
-        return CensusRecord(
-            semigroup.generators,
-            semigroup.genus,
-            frobenius,
-            semigroup.embedding_dim,
-            False,
-            _undefined_report(frobenius),
-            ExceptionClass.NOT_CI,
-        )
-    star = star_report(semigroup)
-    tag = _pattern_class(semigroup, star)
+    star, tag = _classify(semigroup)
     return CensusRecord(
         semigroup.generators,
         semigroup.genus,
         semigroup.frobenius,
         semigroup.embedding_dim,
-        tag is not ExceptionClass.NOT_CI,
+        tag is not _NOT_CI,
         star,
         tag,
     )
 
 
-def enumerate_records(max_genus: int, *, ceiling: int | None = None) -> list[CensusRecord]:
+def enumerate_records(max_genus: int) -> list[CensusRecord]:
     """Census records for genus <= max_genus in canonical order, with no sort.
 
     Canonical order is ascending (genus, generators).  _walk gives each
@@ -286,7 +267,7 @@ def enumerate_records(max_genus: int, *, ceiling: int | None = None) -> list[Cen
     genus's records, appended to its own list in walk order and read back
     reversed, ascend; the lists go in ascending genus.
     """
-    _check_bound(max_genus, ceiling)
+    _check_bound(max_genus)
     buckets = [[] for _ in range(max_genus + 1)]
     for s in _walk(natural_numbers(), max_genus):
         buckets[s.genus].append(record_for(s))
@@ -339,14 +320,14 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
     )
 
 
-def verify_star(max_genus: int, *, ceiling: int | None = None) -> VerificationSummary:
+def verify_star(max_genus: int) -> VerificationSummary:
     """Exhaustively classify star behavior for every genus <= max_genus.
 
     The bound is checked first; then summarize folds over the records in
     walk order, one at a time, so no record list is held or sorted and the
     memory is the walk's stack.
     """
-    walk = enumerate_semigroups(max_genus, ceiling=ceiling)
+    walk = enumerate_semigroups(max_genus)
     return summarize(map(record_for, walk), max_genus)
 
 
@@ -473,7 +454,7 @@ def _record_from_doc(doc) -> CensusRecord:
             f"got d_max={d_max!r} with {verdict.value}"
         )
     if undefined:
-        star = _undefined_report(frobenius)
+        star = _undefined(frobenius)[0]
     else:
         if type(d_max) is not int:
             raise MalformedRecordError(f"d_max must be an integer, got {d_max!r}")

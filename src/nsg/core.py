@@ -186,15 +186,22 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     EmptyInputError on an empty list and NotCoprimeError when the gcd of
     the entries exceeds 1 (the complement would be infinite).  Inputs with
     the same sorted set of entries share one immutable object.
+
+    An entry whose type is not int, bool included, raises TypeError before
+    set() would merge True with 1 and before the cache, which would then
+    hand <True> out for [1, 3], as (True, 3) == (1, 3).
     """
-    gens = sorted(set(raw_generators))
+    raw = list(raw_generators)
+    g = 0
+    for a in raw:
+        if type(a) is not int:
+            raise TypeError(f"generators must be ints, got {a!r}")
+        g = gcd(g, a)
+    gens = sorted(set(raw))
     if not gens:
         raise EmptyInputError("no generators given")
     if gens[0] < 1:
         raise ValueError(f"generators must be positive, got {gens[0]}")
-    g = 0
-    for a in gens:
-        g = gcd(g, a)
     if g != 1:
         raise NotCoprimeError(f"gcd of generators is {g}, not 1")
     return _build(tuple(gens))

@@ -361,7 +361,7 @@ def ci_tree(semigroup: NumericalSemigroup) -> CITree | None:
     m = min(mu*m1, lam*m2) >= 2*m1*m2 >= 2 * 2^(e1-1) * 2^(e2-1) = 2^(e-1).
     Both checks come before the cached search, _ci_tree, so the semigroups
     they settle, most of any census, are neither hashed nor kept; the bound
-    is _below_ci_bound, which census.record_for reads too.
+    is _below_ci_bound, which star._classify reads too.
     """
     if semigroup.embedding_dim == 1:
         return CITree(semigroup, None, None, None, ())

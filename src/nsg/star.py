@@ -11,9 +11,11 @@ the two-generated semigroups <2, q>, <3, 4> and <3, 5> fail.  For e = 2,
 margin(<a, b>) = ab - 2a - 2b = (a - 2)(b - 2) - 4 >= -4 (small_exceptions),
 which is at most 0 exactly for those three patterns, and never 0.  For
 e >= 3 the theorem below gives margin >= 2, as the paper claims for rings of
-embedding dimension at least three.  So classify tags by generator pattern
-and complete intersection membership alone and does not compute a verdict
-to compare; the census still compares every tag with its computed verdict
+embedding dimension at least three.  So _classify, the one route from a
+semigroup to its star report and tag (star_report, classify_exception,
+hypotheses_report and census.record_for each make one call to it), tags by
+generator pattern and complete intersection membership alone, never by the
+margin; the census still compares every tag with its computed verdict
 (summarize), the exhaustive half of the claim.
 
 The margin recursion.  Let S = mu*S1 + lam*S2 be the root split of a gluing
@@ -77,7 +79,7 @@ from math import gcd
 
 from .core import NumericalSemigroup, _value_class
 from .errors import HypothesesNotMetError, InvalidPairError
-from .gluing import ci_tree, glue
+from .gluing import _below_ci_bound, ci_tree, glue
 
 __all__ = [
     "EXCEPTION_TAGS",
@@ -186,58 +188,77 @@ def star_report(semigroup: NumericalSemigroup) -> StarReport:
 
     Undefined for N and for non complete intersections; d_max and margin are
     then absent rather than computed from data the condition does not cover.
-    One ci_tree call decides CI, and d_max is read off the tree's degrees.
-    An undefined report depends on F alone, so all of them with one F are
-    one shared object (_undefined_report).
+    The report is _classify's.
     """
-    tree = None if semigroup.embedding_dim == 1 else ci_tree(semigroup)
-    if tree is None:
-        return _undefined_report(semigroup.frobenius)
-    d_max = tree.degrees[-1]  # the degrees are stored ascending
-    margin = 2 * semigroup.frobenius - d_max
-    verdict = StarVerdict.SATISFIED if margin > 0 else StarVerdict.FAILED
-    return StarReport(semigroup.frobenius, d_max, verdict, margin)
+    return _classify(semigroup)[0]
+
+
+# enum members read on the census's per-record path, bound once: with
+# Python 3.11.7 on a 2-core host reading ExceptionClass.NOT_CI costs about
+# 120 ns (timeit), a module name 7 ns.  record_for reads _NOT_CI for every
+# record; reading the member there and in _classify took the census
+# benchmark's p50 from 2.27 to 2.72 us and its p90 from 2.86 to 3.99 us
+# (seed 2001, 15 s runs, 2 pairs).  _undefined reads both on each cache
+# miss, the first census record of each F.
+_NOT_CI = ExceptionClass.NOT_CI
+_UNDEFINED_VERDICT = StarVerdict.UNDEFINED
 
 
 @lru_cache(maxsize=1024)
-def _undefined_report(frobenius: int) -> StarReport:
-    """The star report of N or of a non complete intersection with this F.
+def _undefined(frobenius: int) -> tuple[StarReport, ExceptionClass]:
+    """_classify's pair for N (F = -1) or for a non complete intersection with this F.
 
-    The report is immutable, so every census record with that F, built or
-    read back, can hold the same one instead of a new build.
+    F = -1 only for N, as 1 is a gap of every other numerical semigroup.
+    The pair and its report are immutable, so every census record with that
+    F, built or read back, holds the same report instead of a new build,
+    and _classify returns the pair without building one.
     """
-    return StarReport(frobenius, None, StarVerdict.UNDEFINED, None)
+    tag = ExceptionClass.UNDEFINED if frobenius == -1 else _NOT_CI
+    return StarReport(frobenius, None, _UNDEFINED_VERDICT, None), tag
 
 
-def _pattern_class(semigroup: NumericalSemigroup, report: StarReport) -> ExceptionClass:
-    """Tag from the generator pattern and the CI decision of star_report.
+def _classify(semigroup: NumericalSemigroup) -> tuple[StarReport, ExceptionClass]:
+    """The star report and exception tag of one semigroup, by one route.
 
-    star_report, the one place that decides CI, is undefined exactly for N
-    and non complete intersections; so with e >= 2 undefined means not_ci.
+    N gets its undefined report and the tag undefined.  A semigroup with
+    m < 2^(e-1) is no complete intersection (proof at gluing.ci_tree), so it
+    gets the undefined report of its F and not_ci, both shared (_undefined),
+    with no ci_tree call.  Every other semigroup takes one ci_tree call:
+    without a tree it is no complete intersection either, and with one
+    d_max is the last of the tree's degrees, stored ascending.
+
+    The tag of a complete intersection comes from its generator pattern
+    alone, never from the margin: its promised verdict (expected_verdict)
+    is the computed one by the e = 2 identity and the e >= 3 theorem of the
+    module docstring, and summarize compares the two for every census
+    record, a check only while the tag is not read off the verdict.
     """
-    if semigroup.embedding_dim == 1:
-        return ExceptionClass.UNDEFINED
-    if report.verdict is StarVerdict.UNDEFINED:
-        return ExceptionClass.NOT_CI
-    if semigroup.embedding_dim == 2:
+    e = semigroup.embedding_dim
+    tree = None if e == 1 or _below_ci_bound(semigroup) else ci_tree(semigroup)
+    if tree is None:
+        return _undefined(semigroup.frobenius)
+    d_max = tree.degrees[-1]
+    margin = 2 * semigroup.frobenius - d_max
+    verdict = StarVerdict.SATISFIED if margin > 0 else StarVerdict.FAILED
+    report = StarReport(semigroup.frobenius, d_max, verdict, margin)
+    if e == 2:
         a, b = semigroup.generators
         if a == 2:
-            return ExceptionClass.TWO_GENERATED_WITH_TWO
+            return report, ExceptionClass.TWO_GENERATED_WITH_TWO
         if (a, b) == (3, 4):
-            return ExceptionClass.THREE_FOUR
+            return report, ExceptionClass.THREE_FOUR
         if (a, b) == (3, 5):
-            return ExceptionClass.THREE_FIVE
-    return ExceptionClass.SATISFIES
+            return report, ExceptionClass.THREE_FIVE
+    return report, ExceptionClass.SATISFIES
 
 
 def classify_exception(semigroup: NumericalSemigroup) -> ExceptionClass:
     """Exception taxonomy tag, by generator pattern and CI decision alone.
 
-    The tag's promised verdict (expected_verdict) is the computed one by the
-    e = 2 identity and the e >= 3 theorem of the module docstring, so none
-    is computed here to compare.
+    The tag is _classify's, read off the generator pattern, never off the
+    verdict.
     """
-    return _pattern_class(semigroup, star_report(semigroup))
+    return _classify(semigroup)[1]
 
 
 def small_exceptions(m: int, n: int) -> SmallExceptionRecord:
@@ -307,8 +328,8 @@ def hypotheses_report(semigroup: NumericalSemigroup) -> HypothesisReport:
     is exactly is_ci.  Non complete intersections fall outside the setting
     entirely.
     """
-    star = star_report(semigroup)
-    ci = _pattern_class(semigroup, star) is not ExceptionClass.NOT_CI
+    star, tag = _classify(semigroup)
+    ci = tag is not _NOT_CI
     if not ci:
         branch = "not_complete_intersection"
     elif semigroup.embedding_dim < 3:

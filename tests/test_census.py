@@ -19,8 +19,11 @@ from nsg import (
     MalformedRecordError,
     StarReport,
     StarVerdict,
+    ci_tree,
+    classify_exception,
     enumerate_records,
     enumerate_semigroups,
+    hypotheses_report,
     make_semigroup,
     natural_numbers,
     read_records,
@@ -81,9 +84,10 @@ def test_walk_gives_each_genus_in_descending_generator_order_through_genus_15():
     assert sum(map(len, by_genus)) == 6964
 
 
-def test_walk_counts_match_a007323_for_genus_16_to_18():
+def test_walk_counts_match_a007323_for_genus_16_to_18(monkeypatch):
+    monkeypatch.setenv(ENV_WORK_CEILING, "18")
     per_genus = [0] * 19
-    for s in enumerate_semigroups(18, ceiling=18):
+    for s in enumerate_semigroups(18):
         per_genus[s.genus] += 1
     assert per_genus[16:] == [4806, 8045, 13467]
     assert sum(per_genus) == 33282
@@ -134,16 +138,18 @@ def test_census_matches_gap_subset_oracle(genus):
     assert ours == oracle
 
 
-def test_enumerate_rejects_bad_bounds():
+def test_enumerate_rejects_bad_bounds(monkeypatch):
     with pytest.raises(ValueError):
         list(enumerate_semigroups(-1))
     with pytest.raises(BoundTooLargeError):
         list(enumerate_semigroups(DEFAULT_WORK_CEILING + 1))
+    monkeypatch.setenv(ENV_WORK_CEILING, "4")
     with pytest.raises(BoundTooLargeError):
-        enumerate_records(5, ceiling=4)
+        enumerate_records(5)
     # both entry points check the sign before the ceiling
+    monkeypatch.setenv(ENV_WORK_CEILING, "-2")
     with pytest.raises(ValueError):
-        enumerate_records(-1, ceiling=-2)
+        enumerate_records(-1)
 
 
 @pytest.mark.parametrize("bound", [2.5, "3", True, Decimal(2)])
@@ -202,8 +208,9 @@ def _ci_candidate(s):
 
 
 def test_one_ci_decision_per_census_record(monkeypatch):
-    # a CI candidate gets one ci_tree call, through star_report; N needs no
-    # decision, and record_for settles a node below the bound without one
+    # a CI candidate gets one ci_tree call, through star._classify, on each
+    # route to its report or tag; N needs no decision, and a node below the
+    # bound is settled without one
     real = nsg.star.ci_tree
     calls = []
 
@@ -214,27 +221,50 @@ def test_one_ci_decision_per_census_record(monkeypatch):
     monkeypatch.setattr(nsg.star, "ci_tree", counted)
     settled = 0
     for s in enumerate_semigroups(10):
-        before = len(calls)
-        record_for(s)
-        assert len(calls) - before == _ci_candidate(s), s
+        for entry in (record_for, star_report, classify_exception, hypotheses_report):
+            before = len(calls)
+            entry(s)
+            assert len(calls) - before == _ci_candidate(s), (entry.__name__, s)
         settled += s.embedding_dim > 1 and not _ci_candidate(s)
     assert settled > 0
 
 
-def test_record_for_matches_the_star_report_route_through_genus_15():
-    # record_for's shortcut for the nodes below the CI multiplicity bound
-    # against the route every node took before it
+def _pattern_tag(generators):
+    # the three failure patterns among complete intersections (nsg.star
+    # module docstring), written out here rather than read from nsg.star
+    if generators[0] == 2 and len(generators) == 2:
+        return ExceptionClass.TWO_GENERATED_WITH_TWO
+    if generators == (3, 4):
+        return ExceptionClass.THREE_FOUR
+    if generators == (3, 5):
+        return ExceptionClass.THREE_FIVE
+    return ExceptionClass.SATISFIES
+
+
+def test_record_for_matches_ci_tree_and_the_generator_pattern_through_genus_15():
+    # every record against facts computed here: CI membership and d_max from
+    # ci_tree, the verdict from 2F > d_max, the tag from the generators
     count = 0
     for s in enumerate_semigroups(15):
-        star = star_report(s)
-        tag = nsg.star._pattern_class(s, star)
-        slow = CensusRecord(s.generators, s.genus, s.frobenius, s.embedding_dim,
-                            tag is not ExceptionClass.NOT_CI, star, tag)
         record = record_for(s)
-        assert record == slow, s
-        if s.embedding_dim > 1 and not _ci_candidate(s):
-            assert record.star is nsg.star._undefined_report(s.frobenius), s
-            assert record.exception is ExceptionClass.NOT_CI
+        assert (record.generators, record.genus, record.frobenius, record.embedding_dim) == (
+            s.generators, s.genus, s.frobenius, s.embedding_dim), s
+        tree = ci_tree(s)
+        if s.embedding_dim == 1:
+            assert record.is_ci
+            assert record.exception is ExceptionClass.UNDEFINED
+            assert record.star == StarReport(-1, None, StarVerdict.UNDEFINED, None)
+        elif tree is None:
+            assert not record.is_ci, s
+            assert record.exception is ExceptionClass.NOT_CI, s
+            assert record.star is nsg.star._undefined(s.frobenius)[0], s
+        else:
+            d_max = tree.degrees[-1]
+            margin = 2 * s.frobenius - d_max
+            verdict = StarVerdict.SATISFIED if margin > 0 else StarVerdict.FAILED
+            assert record.is_ci, s
+            assert record.star == StarReport(s.frobenius, d_max, verdict, margin), s
+            assert record.exception is _pattern_tag(s.generators), s
         count += 1
     assert count == 6964
 

@@ -431,14 +431,15 @@ def test_verify_without_out_builds_no_record_list(capsys, monkeypatch):
 
 
 def test_verify_exits_one_on_a_counterexample(capsys, monkeypatch):
-    real = nsg.census._pattern_class
+    real = nsg.star._classify
 
-    def mistag(semigroup, report):
+    def mistag(semigroup):
+        star, tag = real(semigroup)
         if semigroup.generators == (2, 3):
-            return ExceptionClass.SATISFIES
-        return real(semigroup, report)
+            return star, ExceptionClass.SATISFIES
+        return star, tag
 
-    monkeypatch.setattr(nsg.census, "_pattern_class", mistag)
+    monkeypatch.setattr(nsg.census, "_classify", mistag)
     code, out, err = run_cli(capsys, "verify", "--max-genus", "2", "--format", "json")
     assert (code, err) == (1, "")
     assert json.loads(out) == {

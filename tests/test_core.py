@@ -5,8 +5,10 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nsg
+import nsg.cli
 from nsg import (
     EmptyInputError,
     NotAnElementError,
@@ -107,6 +110,20 @@ def test_rejects_nonpositive_generators():
         make_semigroup([0, 3])
     with pytest.raises(ValueError):
         make_semigroup([-2, 3])
+
+
+def test_generators_that_are_not_ints_are_refused_before_the_cache(capsys):
+    # True == 1 and hash(True) == hash(1), so a bool let through once cached
+    # <True> under the key of (1, 3), and every later [1, 3] got it back
+    core._build.cache_clear()
+    for bad, raw in [(True, [True, 3]), (True, [2, True, 5]), (2.0, [2.0, 3])]:
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            make_semigroup(raw)
+    s = make_semigroup([1, 3])
+    assert s.generators == (1,)
+    assert all(type(a) is int for a in s.generators)
+    assert nsg.cli.run(["star", "1,3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generators"] == [1]
 
 
 def test_equal_generator_sets_share_one_object():
