@@ -11,7 +11,6 @@ counterexample.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -352,7 +351,8 @@ def _cmd_verify(args) -> int:
         print(f"verification up to genus {summary.bound}")
     _emit(
         args,
-        dataclasses.asdict(summary),
+        # its fields in order; json writes the tuples as lists
+        {name: getattr(summary, name) for name in summary.__match_args__},
         lambda: [
             ("total", summary.total),
             ("ci", summary.ci_count),

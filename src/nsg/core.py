@@ -50,24 +50,31 @@ A glued semigroup does not come this way: glue sums its table from the two
 sides by the gluing Apery lemma (proof at gluing._glued) and hands it to
 the same _from_table that finishes every build.
 
-Every dataclass of the package is declared by _value_class: a frozen,
-slotted dataclass whose __init__ stores each field through its slot
-descriptor instead of by object.__setattr__.  Attribute reads cost no
-more, and a build about half: six positional fields, as in
-NumericalSemigroup, took 1.22-1.27 us with the generated frozen __init__
-and 0.67-0.71 us with this one, back to back on a 2-core host with
-Python 3.11.7 (1.48 -> 0.71 us on 3.10.13).  A census record pays for
-four builds: the node's semigroup and Apery table, its record, and the
-record read back.  A slotted class has no __weakref__ slot, and
-dataclass(weakref_slot=True), which adds one, needs Python 3.11, so
-NumericalSemigroup takes it from the slotted base _WeakReferable.
+Every value class of the package (11, each a frozen record of results) is
+declared by _value_class, which builds it as a frozen, slotted class in
+one pass, with one exec of generated code and no dataclasses import.  Its
+__init__ stores each field through its slot descriptor instead of by
+object.__setattr__: six positional fields, as in NumericalSemigroup, took
+1.22-1.27 us with dataclass's frozen __init__ and 0.67-0.71 us with this
+one, on a 2-core host with Python 3.11.7, and a census record pays for four
+builds.  Building the class itself no longer pays for dataclasses, which
+only its API needs: importing it took 6.5-7.4 ms (-X importtime, 5 runs),
+about 5 of them in inspect and the ast, dis, tokenize and linecache it
+pulls in, and the former dataclass(frozen=True, slots=True) build took
+about 0.54 ms per class against 0.19-0.21 ms now (6 fields, timed back to
+back).  So `import nsg,
+nsg.cli` loads neither module: in a fresh process, median of 20, it went
+31.8 -> 23.1 ms from source and 18.4 -> 9.1 ms from compiled bytecode.
+The dataclass API still works; the first read of __dataclass_fields__
+imports dataclasses (_value_class tells how).  A slotted class has no
+__weakref__ slot, so NumericalSemigroup takes one from the slotted base
+_WeakReferable.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import MISSING, dataclass, fields
 from functools import cache, lru_cache
 from itertools import accumulate, compress
 from math import gcd
@@ -88,46 +95,172 @@ __all__ = [
 
 
 def _value_class(cls):
-    """cls as a frozen, slotted dataclass whose __init__ stores through the slots.
+    """cls as a frozen, slotted value class, built in one pass without dataclasses.
 
-    dataclass(frozen=True, slots=True) makes the class and all it generates:
-    repr, ==, hash, FrozenInstanceError on setting or deleting a field,
-    fields/replace/asdict, pickling.  Its own __init__ would store each
-    field by object.__setattr__, as the class's __setattr__ raises; it is
-    not generated (init=False).  The __init__ built once here takes the
-    fields in order, as parameters of the same names and annotations, and
-    calls each field's slot descriptor __set__, bound now, which skips the
-    attribute lookup by name.  Every field must be such a required
-    parameter: a default, a keyword-only or init=False field, an InitVar
-    or ClassVar, or a __post_init__, raises TypeError, as this __init__
-    would drop what the generated one does for them.
+    The class is made anew from cls's own namespace, as slots can only be
+    given at creation.  Its fields are cls's annotations, in order.  One
+    exec per class generates, unless cls defines its own:
+
+    __init__    the fields as required parameters, of the same names and
+                annotations, each stored through its slot descriptor's
+                __set__, bound once the class exists; that skips
+                object.__setattr__, which the frozen __setattr__ forces on
+                a dataclass's __init__, and the attribute lookup by name
+    __eq__      the field tuples compared when other.__class__ is
+                self.__class__, else NotImplemented, as dataclass's
+    __hash__    hash of the field tuple, as dataclass's (NumericalSemigroup
+                keeps its own)
+    __reduce__  the class and the field tuple, so pickle and copy rebuild
+                through __init__ rather than set slots of a frozen instance
+
+    Shared by every value class, unless cls defines its own: __repr__ in
+    dataclass's form, Name(field=value!r, ...) with __qualname__, without
+    dataclass's recursion guard, as a value class holds no reference cycle;
+    __replace__, for copy.replace on Python 3.13, as dataclasses.replace
+    does it.  Always set: __setattr__ and __delattr__ raise
+    dataclasses.FrozenInstanceError with dataclass's messages, importing it
+    on that path only; __match_args__ and __slots__, the field names.  The
+    docstring and a slotted base such as _WeakReferable are kept.
+
+    The dataclass API works on demand.  is_dataclass and asdict first test
+    hasattr(type(obj), "__dataclass_fields__") (is_dataclass on a class,
+    the class itself); fields reads that attribute and keeps its fields;
+    replace reads it to fill each field not changed and then calls
+    obj.__class__(**changes).  So each of the four reads the attribute
+    before anything else, and here it is a _DataclassFields descriptor,
+    whose first read imports dataclasses and stores on the class, in its
+    place, the __dataclass_fields__ and __dataclass_params__ of a
+    make_dataclass twin built from the same (name, annotation) pairs.
+    dataclass makes the same Field for an annotation with no default
+    whichever class it sits in, and a Field holds no reference to its
+    class, so the four then see exactly what a frozen dataclass declared
+    like cls would show them, and replace builds through this __init__.
+
+    Every field must be a required parameter: a default or field() value,
+    an InitVar, ClassVar or KW_ONLY annotation (an object, or a string,
+    as under `from __future__ import annotations`, whose head names one) or
+    a __post_init__ raises TypeError, as this __init__ would drop what a
+    dataclass's does for them.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    fs = fields(cls)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
     if (
         hasattr(cls, "__post_init__")
-        # __dataclass_fields__ also lists the InitVar and ClassVar pseudo-fields
-        or len(fs) != len(cls.__dataclass_fields__)
-        or any(
-            f.default is not MISSING or f.default_factory is not MISSING or f.kw_only or not f.init
-            for f in fs
-        )
+        or any(name in cls.__dict__ for name in names)
+        or any(map(_pseudo_field, annotations.values()))
     ):
         raise TypeError(
             f"value class {cls.__name__} must take each field as a required "
             "parameter, with no default, InitVar, ClassVar or __post_init__"
         )
-    names = [f.name for f in fs]
-    setters = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    fields = "".join(f"self.{name}," for name in names)
+    others = "".join(f"other.{name}," for name in names)
     body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    namespace: dict = {}
-    exec(f"def __init__(self, {', '.join(names)}):{body}", setters, namespace)
-    init = namespace["__init__"]
-    init.__module__ = cls.__module__
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
-    cls.__init__ = init
+    # the generated functions' module and globals; the setters go in once the slots exist
+    namespace = {"__name__": cls.__module__}
+    exec(
+        f"def __init__(self, {', '.join(names)}):{body}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({fields}) == ({others})\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash(({fields}))\n"
+        "def __reduce__(self):\n"
+        f"    return self.__class__, ({fields})\n",
+        namespace,
+    )
+    namespace["__init__"].__annotations__ = {**annotations, "return": None}
+    attributes = {
+        key: value for key, value in cls.__dict__.items() if key not in ("__dict__", "__weakref__")
+    }
+    for name in ("__init__", "__eq__", "__hash__", "__reduce__"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        attributes.setdefault(name, namespace[name])
+    attributes.setdefault("__repr__", _repr)
+    attributes.setdefault("__replace__", _replace)
+    attributes.update(
+        __qualname__=cls.__qualname__,
+        __slots__=names,
+        __match_args__=names,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+        __dataclass_fields__=_DataclassFields(),
+    )
+    cls = type(cls)(cls.__name__, cls.__bases__, attributes)
+    for name in names:
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
     return cls
+
+
+def _pseudo_field(annotation) -> bool:
+    """Whether annotation marks a ClassVar, InitVar or KW_ONLY pseudo-field.
+
+    A string is judged by its head, the name before any "[" and after the
+    last "."; an object of that kind exists only once typing or dataclasses
+    has been imported, so it is judged by the loaded module, if any.
+    """
+    if isinstance(annotation, str):
+        head = annotation.split("[", 1)[0].rsplit(".", 1)[-1].strip()
+        return head in ("ClassVar", "InitVar", "KW_ONLY")
+    typing = sys.modules.get("typing")
+    dataclasses = sys.modules.get("dataclasses")
+    origin = getattr(annotation, "__origin__", None)
+    return (
+        typing is not None and typing.ClassVar in (annotation, origin)
+    ) or (
+        dataclasses is not None
+        and (
+            annotation in (dataclasses.InitVar, dataclasses.KW_ONLY)
+            or isinstance(annotation, dataclasses.InitVar)
+        )
+    )
+
+
+def _repr(self):
+    # a value class holds no reference cycle, so dataclass's recursion guard is left out
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _replace(self, /, **changes):
+    """A copy of self with changes applied to its fields, as dataclasses.replace makes it."""
+    for name in self.__match_args__:
+        if name not in changes:
+            changes[name] = getattr(self, name)
+    return self.__class__(**changes)
+
+
+class _DataclassFields:
+    """A value class's __dataclass_fields__ until its first read.
+
+    That read imports dataclasses, builds the class's twin with
+    make_dataclass from the same names and annotations, frozen and slotted,
+    and stores the twin's __dataclass_fields__ and __dataclass_params__ on
+    the class, in place of this descriptor.
+    """
+
+    def __get__(self, instance, owner):
+        from dataclasses import make_dataclass
+
+        twin = make_dataclass(
+            owner.__name__, list(owner.__annotations__.items()), frozen=True, slots=True
+        )
+        owner.__dataclass_fields__ = twin.__dataclass_fields__
+        owner.__dataclass_params__ = twin.__dataclass_params__
+        return twin.__dataclass_fields__
 
 
 class _WeakReferable:

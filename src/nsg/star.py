@@ -199,9 +199,12 @@ def star_report(semigroup: NumericalSemigroup) -> StarReport:
 # record; reading the member there and in _classify took the census
 # benchmark's p50 from 2.27 to 2.72 us and its p90 from 2.86 to 3.99 us
 # (seed 2001, 15 s runs, 2 pairs).  _undefined reads both on each cache
-# miss, the first census record of each F.
+# miss, the first census record of each F; census._record_from_doc reads
+# all four on every line it reads back.
 _NOT_CI = ExceptionClass.NOT_CI
+_UNDEFINED_TAG = ExceptionClass.UNDEFINED
 _UNDEFINED_VERDICT = StarVerdict.UNDEFINED
+_SATISFIED = StarVerdict.SATISFIED
 
 
 @lru_cache(maxsize=1024)
@@ -213,7 +216,7 @@ def _undefined(frobenius: int) -> tuple[StarReport, ExceptionClass]:
     F, built or read back, holds the same report instead of a new build,
     and _classify returns the pair without building one.
     """
-    tag = ExceptionClass.UNDEFINED if frobenius == -1 else _NOT_CI
+    tag = _UNDEFINED_TAG if frobenius == -1 else _NOT_CI
     return StarReport(frobenius, None, _UNDEFINED_VERDICT, None), tag
 
 

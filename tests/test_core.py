@@ -596,6 +596,60 @@ def test_value_classes_have_docstrings_and_importing_nsg_computes_no_signature()
         assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "("), cls
 
 
+def test_nsg_runs_every_subcommand_without_dataclasses_and_keeps_their_api(tmp_path):
+    # value classes import dataclasses only when something reads
+    # __dataclass_fields__; nsg itself never does, so its start-up skips
+    # dataclasses and the inspect, ast, dis and tokenize it pulls in
+    src = str(Path(nsg.__file__).resolve().parent.parent)
+    commands = [
+        ["verify", "--max-genus", "6"],
+        ["verify", "--max-genus", "6", "--out", str(tmp_path / "records.ndjson")],
+        ["enumerate", "--max-genus", "5"],
+        ["info", "4,6,9"],
+        ["presentation", "4,6,9"],
+        ["ci-tree", "4,6,9"],
+        ["star", "4,6,9"],
+        ["classify", "3,5"],
+        ["hypotheses", "3,5,7"],
+        ["glue", "3,5", "4,6,9", "--lambda", "9", "--mu", "10"],
+        ["inductive", "4,6,9", "3,5", "--lambda", "10", "--mu", "9"],
+        ["star", "4,6"],  # an error: gcd 2
+    ]
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "before = set(sys.modules)\n"
+        "import nsg, nsg.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    for fmt in ('json', 'text'):\n"
+        "        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        "            nsg.cli.run([*argv, '--format', fmt])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n"
+        "import dataclasses\n"
+        "s = nsg.make_semigroup([4, 6, 9])\n"
+        "for obj in (nsg.record_for(s), nsg.ci_tree(s)):\n"
+        "    assert dataclasses.is_dataclass(obj) and dataclasses.is_dataclass(type(obj))\n"
+        "    names = [f.name for f in dataclasses.fields(obj)]\n"
+        "    assert tuple(names) == type(obj).__match_args__\n"
+        "    doc = dataclasses.asdict(obj)\n"
+        "    assert list(doc) == names and doc[names[-1]] == getattr(obj, names[-1])\n"
+        "    changed = dataclasses.replace(obj, **{names[0]: 'changed'})\n"
+        "    assert changed.__class__ is obj.__class__ and changed != obj\n"
+        "    assert dataclasses.replace(changed, **{names[0]: getattr(obj, names[0])}) == obj\n"
+        "print(sorted(doc))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    fields = sorted(f.name for f in dataclasses.fields(nsg.CITree))
+    assert proc.stdout.splitlines() == ["[]", str(fields)]
+
+
 def test_value_class_refuses_what_its_init_would_skip():
     class Default:
         a: int

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,15 +59,16 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     assert all((err_sha == empty) == (code == "0") for code, _, err_sha in digests.values())
 
 
-def python_3_10() -> str | None:
-    """A working Python 3.10 interpreter: python3.10 on PATH, else one pyenv installed."""
+def python_version(major: int, minor: int) -> str | None:
+    """A working Python major.minor: pythonX.Y on PATH, else one pyenv installed."""
     pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
-    candidates = [shutil.which("python3.10")]
-    candidates += sorted(map(str, pyenv.glob("versions/3.10.*/bin/python3.10")))
+    name = f"python{major}.{minor}"
+    candidates = [shutil.which(name)]
+    candidates += sorted(map(str, pyenv.glob(f"versions/{major}.{minor}.*/bin/{name}")))
     for exe in filter(None, candidates):
         # a pyenv shim is on PATH even where it refuses to run
         probe = subprocess.run(
-            [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+            [exe, "-c", f"import sys; print(sys.version_info[:2] == ({major}, {minor}))"],
             capture_output=True, text=True, timeout=30,
         )
         if probe.returncode == 0 and probe.stdout.strip() == "True":
@@ -77,7 +79,7 @@ def python_3_10() -> str | None:
 def test_cli_digest_is_the_same_under_python_3_10():
     # pyproject.toml promises Python >= 3.10, and dataclass options such as
     # weakref_slot=True only exist from 3.11; the script needs no package
-    exe = python_3_10()
+    exe = python_version(3, 10)
     if exe is None:
         pytest.skip("no working Python 3.10 interpreter on PATH or in pyenv")
     done = subprocess.run(
@@ -87,3 +89,18 @@ def test_cli_digest_is_the_same_under_python_3_10():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (TESTS / "cli_digest.txt").read_text()
+
+
+def test_value_classes_match_each_pythons_dataclasses():
+    # the lazy dataclass metadata comes from the running version's own
+    # dataclasses, and copy.replace exists from 3.13; the probe needs no package
+    found = {sys.executable}
+    found.update(filter(None, (python_version(3, minor) for minor in (10, 12, 13))))
+    for exe in sorted(found):
+        done = subprocess.run(
+            [exe, str(SCRIPTS / "value_class_probe.py")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")},
+        )
+        assert done.returncode == 0, (exe, done.stderr)
+        assert done.stdout.count(": ok") == 12, (exe, done.stdout)
