@@ -102,16 +102,21 @@ COMMANDS = SINGLE + tuple(
 FORMATS = ("json", "text")
 
 
-def _sha256(buffer: io.StringIO) -> str:
-    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
-
-
 def digest(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code and sha256 of the UTF-8 stdout and stderr of `nsg argv`."""
-    out, err = io.StringIO(), io.StringIO()
+    """Exit code and sha256 of the UTF-8 stdout and stderr of `nsg argv`.
+
+    stdout is a UTF-8 TextIOWrapper over BytesIO, the route a real stdout
+    takes: nsg writes the long gap text of `info` to its binary buffer.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n"), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
-    return code, _sha256(out), _sha256(err)
+    out.flush()
+    return (
+        code,
+        hashlib.sha256(out.buffer.getvalue()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+    )
 
 
 def main() -> int:

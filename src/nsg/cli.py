@@ -87,32 +87,67 @@ def _print_rows(pairs, width: int | None = None) -> None:
         print(f"{label + ':':<{width + 2}}{str(value).strip()}")
 
 
-# gap text goes out in writes of at least this many characters, the last
-# excepted; each write is shorter than this plus one chunk.  On a 2-core
+# gap text goes out in writes of at least this many bytes, the last
+# excepted; each write is shorter than this plus one piece.  On a 2-core
 # host with Python 3.11, the gap text of <1000, 1999> went to a file in
-# 25.5 ms with one write per chunk and in 22.0 ms with these batches of
-# about eight chunks, medians of 9; peak RSS of both `info` commands of the
-# benchmark stayed within 0.1 MB of one write per chunk, where 512 K
-# batches added 0.9 MB
+# 25.5 ms with one write per piece of a thousand numbers and in 22.0 ms
+# with batches of about eight, medians of 9; peak RSS of both `info`
+# commands of the benchmark stayed within 0.1 MB of one write per piece,
+# where 512 K batches added 0.9 MB.  A template piece of ten thousand
+# numbers holds up to about 90 K of that JSON, so there a batch is mostly
+# one piece
 WRITE_BATCH = 1 << 16
 
 
-def _write_gaps(out, chunks, sep: str) -> bool:
-    """Write sep.join(chunks) to out in batches of chunks; True if any gap.
+def _gap_buffer(out, sep: str):
+    """out.buffer if out writes the digits and sep as their UTF-8 bytes, else None.
 
-    Each batch is written as sep.join of its chunks.  Every batch after the
-    first opens with "", so its join starts with the sep that continues
-    the text, and the writes join to the whole text.
+    Then UTF-8 gap text written to the buffer is the bytes out would write
+    for it.  A stream whose encoding writes that alphabet otherwise
+    (UTF-16, say), or that has no buffer (io.StringIO), takes the gap text
+    through its text layer.
     """
+    buffer = getattr(out, "buffer", None)
+    encoding = getattr(out, "encoding", None)
+    if buffer is None or not isinstance(encoding, str):
+        return None
+    alphabet = "0123456789" + sep
+    try:
+        same = alphabet.encode(encoding) == alphabet.encode("utf-8")
+    except (LookupError, UnicodeError):
+        return None
+    return buffer if same else None
+
+
+def _write_gaps(out, chunks, sep: str) -> bool:
+    """Write sep.join of the chunks to out in batches; True if any gap.
+
+    The chunks are UTF-8 (surrogatepass) bytes (see nsg.core.gap_chunks),
+    and each batch is their join by sep's bytes.  Every batch after the
+    first opens with b"", so its join starts with the sep that continues
+    the text, and the writes join to the whole text.  A full batch, at
+    least WRITE_BATCH bytes, goes to out.buffer as it is when _gap_buffer
+    finds one, after one out.flush() before the first, so that the text
+    already written comes first; the rest is decoded and written as text.
+    Output below one batch never flushes, so `info 4,6,9` into a closed
+    pipe fails only at main's flush, silently.
+    """
+    code = sep.encode("utf-8", "surrogatepass")
+    buffer = _gap_buffer(out, sep)
     batch, size = [], 0
     for chunk in chunks:
         batch.append(chunk)
-        size += len(chunk) + len(sep)
+        size += len(chunk) + len(code)
         if size >= WRITE_BATCH:
-            out.write(sep.join(batch))
-            batch, size = [""], 0
+            if buffer is None:
+                out.write(code.join(batch).decode("utf-8", "surrogatepass"))
+            else:
+                if batch[0]:  # the first batch: the text before it goes first
+                    out.flush()
+                buffer.write(code.join(batch))
+            batch, size = [b""], 0
     if size:
-        out.write(sep.join(batch))
+        out.write(code.join(batch).decode("utf-8", "surrogatepass"))
     return bool(batch)
 
 
@@ -126,11 +161,14 @@ def _cmd_info(args) -> int:
     ', "gaps": ' + list text, then ', "apery": ' + dict text and "}", is
     the text of the whole doc.  json.dumps writes a list of ints as "[",
     their str joined by ", ", "]", which is "[" + gap_text(s, ", ") + "]"
-    ("[]" for none).  gap_text is sep.join(gap_chunks(s, sep)), and
-    _write_gaps writes the chunks, each cut from a byte template or picked
-    by compress (see nsg.core), to stdout in batches of about WRITE_BATCH
-    characters with sep between them, so the gap text, tens of MB for a
-    large semigroup, is never held whole.  The apery dict is dumped as it
+    ("[]" for none).  gap_text is the UTF-8 pieces of gap_chunks(s, sep)
+    joined by sep, and _write_gaps writes those pieces, each cut from a
+    byte template or picked by compress (see nsg.core), to stdout in
+    batches of about WRITE_BATCH bytes with sep between them, so the gap
+    text, tens of MB for a large semigroup, is never held whole.  A full
+    batch goes to stdout's binary buffer as it is, when stdout writes the
+    digits and sep as UTF-8 (a file, a pipe or a UTF-8 terminal), and is
+    otherwise decoded and written as text.  The apery dict is dumped as it
     is: json.dumps writes its int keys as strings, as it would inside doc.
     The text rows are head's, through _doc_rows, then the gaps row ("none"
     for none), written the same way, and the Apery row.  gap_chunks builds

@@ -134,22 +134,40 @@ class WriteSizes(io.StringIO):
         return super().write(text)
 
 
+class ByteWriteSizes(io.BytesIO):
+    """A binary sink that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
 def test_info_writes_the_gap_text_in_bounded_batches(monkeypatch):
-    # a batch is written once it reaches WRITE_BATCH characters, so no write
-    # reaches WRITE_BATCH plus one chunk and its sep, however large F is,
+    # a batch is written once it reaches WRITE_BATCH bytes, so no write
+    # reaches WRITE_BATCH plus one piece and its sep, however large F is,
     # and the writes are about len(text) / WRITE_BATCH plus the other rows',
-    # not two per chunk
+    # not two per piece.  Into a text sink every batch goes through write;
+    # into a UTF-8 stream the full batches go to its buffer, which sees the
+    # text layer's writes too
     s = nsg.make_semigroup([1000, 1999])
     for fmt, sep in (("json", ", "), ("text", ",")):
         longest = max(map(len, nsg.core.gap_chunks(s, sep)))
-        sink = WriteSizes()
-        monkeypatch.setattr(sys, "stdout", sink)
-        assert run(["info", "1000,1999", "--format", fmt]) == 0
-        monkeypatch.undo()
-        text = sink.getvalue()
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INFO_SHA256["1000,1999", fmt]
-        assert max(sink.sizes) < nsg.cli.WRITE_BATCH + longest + len(sep)
-        assert len(sink.sizes) <= len(text) // nsg.cli.WRITE_BATCH + 20
+        text_sink = WriteSizes()
+        byte_sink = io.TextIOWrapper(ByteWriteSizes(), encoding="utf-8", newline="\n")
+        for sink in (text_sink, byte_sink):
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert run(["info", "1000,1999", "--format", fmt]) == 0
+            monkeypatch.undo()
+        byte_sink.flush()
+        texts = text_sink.getvalue(), byte_sink.buffer.getvalue().decode("utf-8")
+        for text, sizes in zip(texts, (text_sink.sizes, byte_sink.buffer.sizes)):
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INFO_SHA256["1000,1999", fmt]
+            assert max(sizes) < nsg.cli.WRITE_BATCH + longest + len(sep)
+            assert len(sizes) <= len(text) // nsg.cli.WRITE_BATCH + 20
 
 
 def test_presentation_json(capsys):
@@ -536,6 +554,8 @@ def test_python_dash_m_runs_the_cli(module, capsys):
         (["--help"], ""),
         # a write in the handler fails, which run() reports
         (["info", "1000,1999", "--format", "json"], "error: [Errno 32] Broken pipe\n"),
+        # the flush before the first full batch of gaps goes to the buffer
+        (["info", "1000,1999", "--format", "text"], "error: [Errno 32] Broken pipe\n"),
     ],
 )
 def test_a_closed_stdout_exits_one_without_a_traceback(argv, err):

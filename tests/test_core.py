@@ -339,19 +339,44 @@ def test_gaps_and_gap_text_match_reachability_through_genus_12(monkeypatch, gap_
     [
         ((1,), -1, []),
         ((2, 3), 1, [1]),
-        ((2, 1001), 999, [997, 999]),  # every gap in chunk 0
-        ((3, 503, 1003), 1000, [997, 1000]),  # F the first place of chunk 1
+        ((2, 1001), 999, [997, 999]),  # every gap in the first thousand
+        ((3, 503, 1003), 1000, [997, 1000]),  # F the first place of thousand 1
         ((2, 1003), 1001, [999, 1001]),
         ((37, 1000, 1999), 35963, [35926, 35963]),
-        # chunks 21, 32, 34, ..., 40, 42 and 43 hold no gap, and later ones do
+        # thousands 21, 32, 34, ..., 40, 42 and 43 hold no gap, and later ones do
         (tuple(range(2100, 2201)), 44099, [44098, 44099]),
         ((3, 500003, 1000003), 10**6, [999997, 10**6]),  # 1000q + 0, q = 1000
+        # the same edges for pieces of ten thousand
+        ((2, 10001), 9999, [9997, 9999]),  # every gap in piece 0
+        ((3, 5003, 10003), 10**4, [9997, 10**4]),  # F the first place of piece 1
+        ((2, 10003), 10001, [9999, 10001]),
+        ((150, 151), 22349, [22199, 22349]),  # the run 9967 .. 10049
+        ((329, 330), 107911, [107582, 107911]),  # the run 99991 .. 100015, head 9 to 10
     ],
 )
-def test_gap_text_across_chunk_boundaries(gens, frobenius_number, last_gaps):
-    expected = _check_gaps_against_reachability(gens)
-    assert make_semigroup(gens).frobenius == frobenius_number
-    assert expected[-2:] == last_gaps
+def test_gap_text_across_chunk_boundaries(
+    monkeypatch, gap_routes, gens, frobenius_number, last_gaps
+):
+    # the compress route cuts pieces of a thousand numbers and the template
+    # route pieces of ten thousand; every case runs on each route in turn
+    expected = naive_gaps(gens)
+    s = make_semigroup(gens)
+    assert (s.frobenius, expected[-2:]) == (frobenius_number, last_gaps)
+    assert gaps(s) == expected
+    for min_average, route in ((0, "runs"), (10**9, "compress")):
+        monkeypatch.setattr(core, "RUN_ROUTE_MIN_AVERAGE", min_average)
+        gap_routes.clear()
+        for sep in (", ", ","):
+            assert gap_text(s, sep) == sep.join(map(str, expected)), (gens, sep, route)
+        assert gap_routes == ({route} if expected else set())
+
+
+def test_boundary_runs_cross_the_piece_edges():
+    # the two runs that test_gap_text_across_chunk_boundaries names, from
+    # the oracle: each holds both sides of a multiple of ten thousand
+    for gens, edge in (((150, 151), 10**4), ((329, 330), 10**5)):
+        gap_set = set(naive_gaps(gens))
+        assert set(range(edge - 9, edge + 2)) <= gap_set, gens
 
 
 MULTI_CHUNK_INPUTS = (

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import importlib.util
+import io
 import os
 import shutil
 import subprocess
@@ -11,17 +12,24 @@ from pathlib import Path
 
 import pytest
 
-from nsg.cli import build_parser
+from nsg import gap_text, make_semigroup, parse_generators
+from nsg.cli import WRITE_BATCH, build_parser, run
 from test_cli import INFO_SHA256
 
 TESTS = Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "scripts"
 
 
-def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
+def cli_digest():
+    """scripts/cli_digest.py as a module."""
     spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
+    module = cli_digest()
     assert module.main() == 0
     captured = capsys.readouterr()
     assert captured.err.startswith("nsg from ")
@@ -57,6 +65,63 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     }
     assert {code for code, _, _ in digests.values()} == {"0", "1"}
     assert all((err_sha == empty) == (code == "0") for code, _, err_sha in digests.values())
+
+
+class ByteWrites(io.BytesIO):
+    """A binary sink that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+class TextLayer(io.TextIOWrapper):
+    """A text stream over ByteWrites that counts the characters written to it as text."""
+
+    def __init__(self, encoding: str):
+        super().__init__(ByteWrites(), encoding=encoding, newline="\n")
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return super().write(text)
+
+    def text(self) -> str:
+        self.flush()
+        return self.buffer.getvalue().decode(self.encoding)
+
+
+def test_info_sends_full_gap_batches_to_a_utf8_buffer_alone(monkeypatch):
+    # every info input of the digest, in both formats, into a StringIO, a
+    # UTF-8 stream and a UTF-16 one: the three texts are equal, and only the
+    # UTF-8 stream takes gap batches, each a full one, past its text layer
+    module = cli_digest()
+    inputs = [generators for command, generators in module.SINGLE if command == "info"]
+    assert len(inputs) == 5
+    bypassed = set()
+    for generators in inputs:
+        s = make_semigroup(parse_generators(generators))
+        for fmt, sep in (("json", ", "), ("text", ",")):
+            plain, utf8, utf16 = io.StringIO(), TextLayer("utf-8"), TextLayer("utf-16")
+            for stream in (plain, utf8, utf16):
+                monkeypatch.setattr(sys, "stdout", stream)
+                assert run(["info", generators, "--format", fmt]) == 0
+                monkeypatch.undo()
+            text = plain.getvalue()
+            assert utf8.text() == utf16.text() == text, (generators, fmt)
+            assert utf16.chars == len(text)
+            # the output is ASCII, one byte per character
+            direct = len(text) - utf8.chars
+            assert direct == sum(size for size in utf8.buffer.sizes if size >= WRITE_BATCH)
+            assert (direct > 0) == (len(gap_text(s, sep)) >= WRITE_BATCH), (generators, fmt)
+            if direct:
+                bypassed.add(generators)
+    # both routes of gap_chunks: long runs, and <101, 1000, 5000>'s short ones
+    assert bypassed == {"500,999", "1000,1999", "101,1000,5000"}
 
 
 def python_version(major: int, minor: int) -> str | None:
