@@ -46,6 +46,10 @@ SINGLE = (
     ("ci-tree", "48,60,72,80,126,315"),
     ("ci-tree", "110,120,176,180,210,264,495"),
     ("presentation", "96,99,165,168,240,392"),
+    # long gap runs past piece 0: F = 10,099 ends in a piece 1 of 100
+    # numbers, and <329,330>'s head grows from 9 to 10 digits at 10^5
+    ("info", "101,102"),
+    ("info", "329,330"),
     # short gap runs, the other route of gap_chunks
     ("info", "4,6,9"),
     ("info", "2,2001"),

@@ -31,12 +31,14 @@ count
 of maximal gap runs, read off the table in O(m):
 
     template  genus >= RUN_ROUTE_MIN_AVERAGE * R: the UTF-8 rows
-              str(n) + sep of ten thousand numbers sit in a byte template,
-              whose head digits are rewritten by one strided assignment per
-              changed digit; each run is two bytearray.find calls and one
-              slice of it, O(R + F / 10**4) Python steps.  The template is
-              ten copies of a cached one of a thousand rows, each with one
-              digit column rewritten, so only those thousand are formatted
+              str(n) + sep of ten thousand numbers, all of one width, sit
+              in a byte block, whose head digits are rewritten by one
+              strided assignment per changed digit; each run is two
+              bytearray.find calls and one slice of it, O(R + F / 10**4)
+              Python steps.  A block is built whenever the head length
+              changes, from four cached digit columns, so no row is
+              formatted; the numbers below 10**4, of varying width, come
+              by the compress code
     compress  otherwise: itertools.compress over all F + 1 places, in C,
               whose per-place cost wins when runs are short (<2,q>), in
               pieces of a thousand
@@ -79,9 +81,9 @@ _WeakReferable.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from functools import cache, lru_cache
-from itertools import accumulate, chain, compress
+from itertools import compress
 from math import gcd
 
 from .errors import EmptyInputError, NotAnElementError, NotCoprimeError
@@ -499,9 +501,8 @@ def _run_count(semigroup: NumericalSemigroup) -> int:
 RUN_ROUTE_MIN_AVERAGE = 18
 
 
-def _compress_chunks(mask: bytearray, sep: str) -> Iterator[bytes]:
+def _compress_chunks(mask: bytearray, code: bytes) -> Iterator[bytes]:
     """The piece of each thousand with a gap, by one compress step per place."""
-    code = sep.encode("utf-8", "surrogatepass")
     low, pad = _decimal_tables()
     for start in range(0, len(mask), 1000):
         head = b"%d" % (start // 1000) if start else b""
@@ -510,82 +511,66 @@ def _compress_chunks(mask: bytearray, sep: str) -> Iterator[bytes]:
             yield head + (code + head).join(digits)
 
 
-@lru_cache(maxsize=16)
-def _row_template(length: int, sep: str) -> tuple[bytes, Sequence[int]]:
-    """The UTF-8 (surrogatepass) rows str(n) + sep of thousand 10**(length - 1),
-    or of thousand 0 for length 0, and the 1001 offsets where rows start and end.
+# The template route writes its piece 0 by this name, so that a patch of
+# _compress_chunks sees the compress route alone.
+_thousands = _compress_chunks
 
-    Row t is head + table[t] + sep, with head str(10**(length - 1)) and the
-    table PAD, or head "" and the table str(t) for length 0: the forms of
-    str(1000q + t) in gap_chunks.  Every character but those of sep is an
-    ASCII digit, one byte, so for length >= 1 every row is as wide as the
-    first, and the offsets are a range, which stores no int per row.
+
+@cache
+def _digit_columns() -> tuple[dict[str, bytes], tuple[bytes, ...]]:
+    """Each digit 10**4 times, by digit, and column k = 0 .. 3 of the rows
+    f"{t:04d}", t = 0 .. 9999: each digit 10**(3 - k) times, in order, and
+    that repeated 10**k times."""
+    heads = {digit: digit.encode() * 10**4 for digit in "0123456789"}
+    return heads, tuple(b"".join(d.encode() * 10 ** (3 - k) for d in heads) * 10**k for k in range(4))
+
+
+def _row_block(length: int, code: bytes) -> bytearray:
+    """The rows "0" * length + f"{t:04d}" + sep of t = 0 .. 9999, sep as
+    its bytes code, every row length + 4 + len(code) bytes wide."""
+    width = length + 4 + len(code)
+    rows = bytearray((b"0" * (length + 4) + code) * 10**4)
+    for k, column in enumerate(_digit_columns()[1]):
+        rows[length + k :: width] = column
+    return rows
+
+
+def _template_chunks(mask: bytearray, code: bytes) -> Iterator[bytes]:
+    """The piece of each ten thousand with a gap, one row-block slice per maximal run.
+
+    Piece 0 comes from _thousands.  Runs come by two bytearray.find calls
+    each; a run still open at the piece's stop is cut there, and in the
+    last piece stop is F + 1, where the last run ends anyway.  Proof that
+    the pieces are right at gap_chunks.
     """
-    code = sep.encode("utf-8", "surrogatepass")
-    low, pad = _decimal_tables()
-    head, table = (b"%d" % 10 ** (length - 1), pad) if length else (b"", low)
-    rows = head + (code + head).join(table) + code
-    if length:
-        width = length + 3 + len(code)
-        return rows, range(0, 1001 * width, width)
-    return rows, tuple(accumulate((len(digits) + len(code) for digits in table), initial=0))
-
-
-def _piece_rows(length: int, sep: str) -> tuple[bytearray, Sequence[int]]:
-    """A fresh copy of the rows str(n) + sep of piece 10**(length - 1), or of
-    piece 0 for length 0, and the 10001 offsets where rows start and end.
-
-    The rows are ten copies of _row_template(length + 1, sep), whose digit
-    column length is rewritten to 0 .. 9, one digit per copy; for piece 0
-    the first copy is _row_template(0, sep) instead.  No row is formatted
-    here.  Proof at gap_chunks.
-    """
-    narrow, narrow_offsets = _row_template(length + 1, sep)
-    width = narrow_offsets[1]
-    first = 0 if length else 1
-    low, low_offsets = _row_template(0, sep) if first else (b"", ())
-    rows = bytearray(low + narrow * (10 - first))
-    rows[len(low) + length :: width] = b"".join(b"%d" % d * 1000 for d in range(first, 10))
-    if length:
-        return rows, range(0, 10001 * width, width)
-    tail = range(len(low) + width, len(rows) + 1, width)
-    return rows, tuple(chain(low_offsets, tail))
-
-
-def _template_chunks(mask: bytearray, sep: str) -> Iterator[bytes]:
-    """The piece of each ten thousand with a gap, one template slice per maximal run.
-
-    Runs come by two bytearray.find calls each; a run still open at the
-    piece's stop is cut there, and in the last piece stop is F + 1, where
-    the last run ends anyway.  Proof that the pieces are right at gap_chunks.
-    """
-    code = sep.encode("utf-8", "surrogatepass")
-    cut = len(code)
-    column = {digit: digit.encode() * 10000 for digit in "0123456789"}
-    find, size = mask.find, len(mask)
-    length = -1
-    for start in range(0, size, 10000):
-        stop = min(start + 10000, size)
+    first = code.join(_thousands(mask[: 10**4], code))
+    if first:
+        yield first
+    heads = _digit_columns()[0]
+    find, size, cut = mask.find, len(mask), len(code)
+    length = 0
+    for start in range(10**4, size, 10**4):
+        stop = min(start + 10**4, size)
         i = find(1, start, stop)
         if i == -1:
             continue
-        head = str(start // 10000) if start else ""
+        head = str(start // 10**4)
         if len(head) != length:
             length = len(head)
-            rows, offsets = _piece_rows(length, sep)
+            width = length + 4 + cut
+            rows = _row_block(length, code)
             view = memoryview(rows)
-            shown = str(10 ** (length - 1)) if length else ""
-            width = offsets[1]
+            shown = "0" * length
         for p, (old, new) in enumerate(zip(shown, head)):
             if old != new:
-                rows[p::width] = column[new]
+                rows[p::width] = heads[new]
         shown = head
         pieces = []
         while i != -1:
             j = find(0, i, stop)
             if j == -1:
                 j = stop
-            pieces.append(view[offsets[i - start] : offsets[j - start] - cut])
+            pieces.append(view[(i - start) * width : (j - start) * width - cut])
             i = find(1, j, stop)
         yield code.join(pieces)
 
@@ -618,41 +603,28 @@ def gap_chunks(semigroup: NumericalSemigroup, sep: str) -> Iterator[bytes]:
     offset t), and compress picks those PAD[t], as bytes, out of the table
     by the piece's mask.
 
-    template (P = 10**4): _row_template(L, sep) is c of the rows
-    str(n) + sep of thousand 10**(L - 1), or of thousand 0 for L = 0.  For
-    L >= 1 its row u is c(str(10**(L - 1)) + PAD[u] + sep), L + 3 +
-    len(c(sep)) bytes wide.  _piece_rows(L, sep) writes the rows of piece
-    10**(L - 1), or of piece 0 for L = 0, with the offsets o[t] where row
-    t starts and o[P] where the last one ends.  For L >= 1 it takes ten
-    copies of _row_template(L + 1, sep), whose rows are
-    c(h1 + PAD[u] + sep) with h1 = str(10**L) = h0 + "0", h0 =
-    str(10**(L - 1)), all W = L + 4 + len(c(sep)) bytes wide.  Byte L of
-    each row is that last "0" of h1, so the positions L::W of the copies
-    are one per row, and writing "0" * 1000 + "1" * 1000 + ... + "9" * 1000
-    there turns row u of copy d into c(h0 + str(d) + PAD[u] + sep) =
-    c(h0 + f"{1000d + u:04d}" + sep), row t = 1000d + u of the piece, and
-    o[t] = tW.  For L = 0 the first copy is _row_template(0, sep), the rows
-    c(str(t) + sep) of t < 1000 with their own offsets, and copies d = 1
-    .. 9 of _row_template(1, sep) get "1" * 1000 + ... + "9" * 1000 at
-    0::W, so their row u reads c(str(d) + PAD[u] + sep) = c(str(1000d + u)
-    + sep); those offsets go on from o[1000] in steps of W.  For L >= 1 the
-    L head bytes of the rows are the positions p::W, 0 <= p < L.  shown is
-    the head the rows hold: h0 after _piece_rows, which is called whenever
-    the head length changes; each p where head and shown differ gets
-    rows[p::W] = head[p] * P, which writes digit p of every row and no
-    other byte.  So for piece q every row t is
-    c(str(q) + f"{t:04d}" + sep) = c(str(Pq + t) + sep); for piece 0 the
-    rows are c(str(t) + sep) and nothing is rewritten.  A run
-    start + i <= n < start + j of the piece is rows i .. j - 1, the bytes
-    o[i] to o[j], and dropping the last len(c(sep)) of them drops row
-    j - 1's sep: c(sep.join(str(n) for each n in the run)).  The runs of a
-    piece hold all its gaps, in order, so their slices joined by c(sep)
-    are c of the piece's text.
+    template (P = 10**4): piece 0 is the compress route's pieces of
+    mask[:P] joined by c(sep), so c of the text of the gaps below P.  For
+    q >= 1 with L = len(str(q)), row t of piece q is c(str(q) +
+    f"{t:04d}" + sep) = c(str(Pq + t) + sep), W = L + 4 + len(c(sep))
+    bytes wide, so it starts at tW.  _row_block(L, c(sep)) writes these
+    rows with the head "0" * L: all L + 4 digits "0", then column k of
+    _digit_columns at L + k::W, one byte per row, for k = 0 .. 3.  Its
+    byte t is digit floor(t / 10**(3 - k)) mod 10, which is digit k of
+    f"{t:04d}".  shown is the head the rows hold, "0" * L in a fresh
+    block, built whenever L changes; each p where head and shown differ
+    gets rows[p::W] = head[p] * P, which writes digit p of every row and
+    no other byte.  So the rows are those of piece q.  A run start + i <=
+    n < start + j of the piece is rows i .. j - 1, the bytes iW to jW,
+    and dropping the last len(c(sep)) of them drops row j - 1's sep:
+    c(sep.join(str(n) for each n in the run)).  The runs of a piece hold
+    all its gaps, in order, so their slices joined by c(sep) are c of the
+    piece's text.
     """
-    mask = _gap_mask(semigroup)
+    mask, code = _gap_mask(semigroup), sep.encode("utf-8", "surrogatepass")
     if semigroup.genus >= RUN_ROUTE_MIN_AVERAGE * _run_count(semigroup):
-        return _template_chunks(mask, sep)
-    return _compress_chunks(mask, sep)
+        return _template_chunks(mask, code)
+    return _compress_chunks(mask, code)
 
 
 def gap_text(semigroup: NumericalSemigroup, sep: str) -> str:

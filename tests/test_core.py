@@ -316,9 +316,9 @@ def gap_routes(monkeypatch):
 def test_gaps_and_gap_text_match_reachability_through_genus_12(monkeypatch, gap_routes):
     # the generators come from the census walk; the expected gaps and runs
     # only from the oracle, and the count is A007323 summed over genus 0..12.
-    # Every F is at most 23, so this is chunk 0 only, where the chunk and the
-    # last run end at F; gap_text is checked on its own route, then on each
-    # route forced in turn
+    # Every F is at most 23, so this is piece 0 only, where the piece and the
+    # last run end at F and both routes write by compress; gap_text is
+    # checked on its own route, then on each route forced in turn
     expected = {
         s: _check_gaps_against_reachability(s.generators) for s in enumerate_semigroups(12)
     }
@@ -403,9 +403,9 @@ def test_gap_text_on_multi_chunk_inputs_takes_both_routes(gap_routes):
             assert gap_text(s, sep) == sep.join(map(str, gap_list)), (gens, sep)
         (taken[gens],) = gap_routes
     assert set(taken.values()) == {"runs", "compress"}
-    # the run route also writes a partial last chunk, whose last run ends at F
+    # the run route also writes a partial last piece, whose last run ends at F
     assert any(
-        route == "runs" and (make_semigroup(gens).frobenius + 1) % 1000
+        route == "runs" and (make_semigroup(gens).frobenius + 1) % 10**4
         for gens, route in taken.items()
     )
 
@@ -448,6 +448,43 @@ def test_template_route_across_head_length_changes(gap_routes):
     for sep in (", ", ","):
         assert gap_text(s, sep) == sep.join(map(str, gap_list)), sep
     assert gap_routes == {"runs"}
+
+
+def test_row_blocks_hold_the_rows_of_each_head(monkeypatch, gap_routes):
+    # a fresh block holds the rows "0" * L + f"{t:04d}" + sep; the one that
+    # writes piece q, its only piece with a gap, all gaps, holds them with
+    # head str(q), and that piece is those rows without the last sep
+    blocks = []
+
+    def spy(*args, real=core._row_block):
+        blocks.append(real(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(core, "_row_block", spy)
+    for sep in (", ", ",", *ODD_SEPARATORS):
+        code = sep.encode("utf-8", "surrogatepass")
+
+        def rows(head):
+            return b"".join(
+                (head + f"{t:04d}" + sep).encode("utf-8", "surrogatepass") for t in range(10**4)
+            )
+
+        for length in range(1, 5):
+            assert core._row_block(length, code) == rows("0" * length), (length, sep)
+        for head in ("7", "42", "999", "1000"):
+            start = int(head) * 10**4
+            mask = bytearray(start + 10**4)
+            mask[start:] = b"\x01" * 10**4
+            blocks.clear()
+            assert list(core._template_chunks(mask, code)) == [rows(head)[: -len(code)]]
+            assert blocks == [rows(head)], (head, sep)
+    # <100, 101> (F = 9899) takes the template route and builds no block
+    s = make_semigroup((100, 101))
+    blocks.clear()
+    gap_routes.clear()
+    for sep in (", ", ",", *ODD_SEPARATORS):
+        assert gap_text(s, sep) == sep.join(map(str, naive_gaps((100, 101)))), sep
+    assert gap_routes == {"runs"} and blocks == []
 
 
 @settings(max_examples=100, deadline=None)

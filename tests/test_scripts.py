@@ -101,7 +101,7 @@ def test_info_sends_full_gap_batches_to_a_utf8_buffer_alone(monkeypatch):
     # UTF-8 stream takes gap batches, each a full one, past its text layer
     module = cli_digest()
     inputs = [generators for command, generators in module.SINGLE if command == "info"]
-    assert len(inputs) == 5
+    assert len(inputs) == 7
     bypassed = set()
     for generators in inputs:
         s = make_semigroup(parse_generators(generators))
@@ -121,7 +121,7 @@ def test_info_sends_full_gap_batches_to_a_utf8_buffer_alone(monkeypatch):
             if direct:
                 bypassed.add(generators)
     # both routes of gap_chunks: long runs, and <101, 1000, 5000>'s short ones
-    assert bypassed == {"500,999", "1000,1999", "101,1000,5000"}
+    assert bypassed == {"500,999", "1000,1999", "329,330", "101,1000,5000"}
 
 
 def python_version(major: int, minor: int) -> str | None:
