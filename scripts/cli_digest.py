@@ -36,6 +36,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import nsg
 from nsg.cli import run
 
+HUGE = "100000000000000000000,100000000000000000001"  # m = 10^20 > sys.maxsize
 SINGLE = (
     # the benchmark's large-single ladder; its two info inputs have long gap runs
     ("info", "500,999"),
@@ -85,6 +86,9 @@ SINGLE = (
         for generators in ("2,5", "3,4", "3,5", "4,5,7")
         for command in ("star", "classify", "hypotheses")
     ),
+    # a multiplicity above sys.maxsize: one error line, no table
+    ("star", HUGE),
+    ("info", HUGE),
 )
 # (left, right, lambda, mu) of mu*left + lambda*right; glue and inductive
 # exit 1 on the last, and inductive on the first, whose left side fails star

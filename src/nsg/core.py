@@ -143,23 +143,12 @@ def _value_class(cls):
     class, so the four then see exactly what a frozen dataclass declared
     like cls would show them, and replace builds through this __init__.
 
-    Every field must be a required parameter: a default or field() value,
-    an InitVar, ClassVar or KW_ONLY annotation (an object, or a string,
-    as under `from __future__ import annotations`, whose head names one) or
-    a __post_init__ raises TypeError, as this __init__ would drop what a
-    dataclass's does for them.
+    Every field is a required parameter, with no default, ClassVar, InitVar,
+    KW_ONLY or __post_init__, whose effect this __init__ would drop; the
+    test suite's scan of the package source checks each declaration.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
-    if (
-        hasattr(cls, "__post_init__")
-        or any(name in cls.__dict__ for name in names)
-        or any(map(_pseudo_field, annotations.values()))
-    ):
-        raise TypeError(
-            f"value class {cls.__name__} must take each field as a required "
-            "parameter, with no default, InitVar, ClassVar or __post_init__"
-        )
     fields = "".join(f"self.{name}," for name in names)
     others = "".join(f"other.{name}," for name in names)
     body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
@@ -198,30 +187,6 @@ def _value_class(cls):
     for name in names:
         namespace[f"_set_{name}"] = cls.__dict__[name].__set__
     return cls
-
-
-def _pseudo_field(annotation) -> bool:
-    """Whether annotation marks a ClassVar, InitVar or KW_ONLY pseudo-field.
-
-    A string is judged by its head, the name before any "[" and after the
-    last "."; an object of that kind exists only once typing or dataclasses
-    has been imported, so it is judged by the loaded module, if any.
-    """
-    if isinstance(annotation, str):
-        head = annotation.split("[", 1)[0].rsplit(".", 1)[-1].strip()
-        return head in ("ClassVar", "InitVar", "KW_ONLY")
-    typing = sys.modules.get("typing")
-    dataclasses = sys.modules.get("dataclasses")
-    origin = getattr(annotation, "__origin__", None)
-    return (
-        typing is not None and typing.ClassVar in (annotation, origin)
-    ) or (
-        dataclasses is not None
-        and (
-            annotation in (dataclasses.InitVar, dataclasses.KW_ONLY)
-            or isinstance(annotation, dataclasses.InitVar)
-        )
-    )
 
 
 def _repr(self):
@@ -372,7 +337,13 @@ def _apery(gens, m: int) -> tuple[list[int], tuple[int, ...]]:
     and is skipped (every multiple of m is, as dist[0] = 0).  Over ascending
     generators above m the kept ones are exactly the minimal ones.  No entry
     stays None: callers pass m and gens of gcd 1, whose sums reach all classes.
+    No list is longer than sys.maxsize, so a larger m raises ValueError
+    before anything is allocated.
     """
+    if m > sys.maxsize:
+        raise ValueError(
+            f"cannot build an Apery table mod {m}: m = {m} exceeds sys.maxsize = {sys.maxsize}"
+        )
     dist: list[int | None] = [None] * m
     dist[0] = 0
     kept = []
@@ -511,11 +482,6 @@ def _compress_chunks(mask: bytearray, code: bytes) -> Iterator[bytes]:
             yield head + (code + head).join(digits)
 
 
-# The template route writes its piece 0 by this name, so that a patch of
-# _compress_chunks sees the compress route alone.
-_thousands = _compress_chunks
-
-
 @cache
 def _digit_columns() -> tuple[dict[str, bytes], tuple[bytes, ...]]:
     """Each digit 10**4 times, by digit, and column k = 0 .. 3 of the rows
@@ -538,12 +504,12 @@ def _row_block(length: int, code: bytes) -> bytearray:
 def _template_chunks(mask: bytearray, code: bytes) -> Iterator[bytes]:
     """The piece of each ten thousand with a gap, one row-block slice per maximal run.
 
-    Piece 0 comes from _thousands.  Runs come by two bytearray.find calls
+    Piece 0 comes from _compress_chunks.  Runs come by two bytearray.find calls
     each; a run still open at the piece's stop is cut there, and in the
     last piece stop is F + 1, where the last run ends anyway.  Proof that
     the pieces are right at gap_chunks.
     """
-    first = code.join(_thousands(mask[: 10**4], code))
+    first = code.join(_compress_chunks(mask[: 10**4], code))
     if first:
         yield first
     heads = _digit_columns()[0]

@@ -207,3 +207,49 @@ def naive_min_generators(gap_set, frobenius_bound):
             continue
         gens.append(n)
     return tuple(gens)
+
+
+def kunz_semigroups(max_genus):
+    """(genus, multiplicity, minimal generators) of every numerical semigroup
+    of genus <= max_genus, by Kunz coordinates instead of a tree walk.
+
+    N has genus 0 and generators (1,).  Any other S has multiplicity m >= 2,
+    and its Apery set w.r.t. m is 0 and w_i = k_i * m + i, i = 1 .. m - 1:
+    class i holds the k_i gaps i, i + m, ..., so the genus is the sum of the
+    k_i.  The vectors with k_i >= 1 that arise are exactly those with
+
+        k_i + k_j >= k_(i+j)          for i + j < m,
+        k_i + k_j + 1 >= k_(i+j-m)    for i + j > m
+
+    (Kunz 1987; Rosales, García-Sánchez, García-García and Branco 2002), as
+    w_i + w_j is in S and i + j is its class.  So m <= genus + 1.  Here k_1,
+    k_2, ... are assigned in turn, each checked against the inequalities
+    whose indices are all assigned by then, the largest being its own.
+    n is in S when n >= w_(n mod m), and w_i is a minimal generator exactly
+    when no w_i - w_j, j != i in 1 .. m - 1, is in S; m always is one.
+    """
+    yield 0, 1, (1,)
+    for m in range(2, max_genus + 2):
+        k = [0] * m
+
+        def member(n):
+            return n >= 0 and n >= k[n % m] * m + n % m
+
+        def assign(i, genus):
+            if i == m:
+                w = [k[r] * m + r for r in range(m)]
+                minimal = [
+                    w[r] for r in range(1, m)
+                    if not any(member(w[r] - w[j]) for j in range(1, m) if j != r)
+                ]
+                yield genus, m, tuple(sorted([m, *minimal]))
+                return
+            # the k_j still to assign after k_i take at least 1 each
+            for value in range(1, max_genus - genus - (m - 1 - i) + 1):
+                k[i] = value
+                if all(k[j] + k[i - j] >= value for j in range(1, i)) and all(
+                    value + k[j] + 1 >= k[i + j - m] for j in range(m - i + 1, i + 1)
+                ):
+                    yield from assign(i + 1, genus + value)
+
+        yield from assign(1, 0)

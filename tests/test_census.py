@@ -45,7 +45,7 @@ from nsg.census import (
     _walk,
 )
 
-from oracles import naive_semigroups
+from oracles import kunz_semigroups, naive_semigroups
 
 KNOWN_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67]
 
@@ -91,6 +91,25 @@ def test_walk_counts_match_a007323_for_genus_16_to_18(monkeypatch):
         per_genus[s.genus] += 1
     assert per_genus[16:] == [4806, 8045, 13467]
     assert sum(per_genus) == 33282
+
+
+def test_walk_matches_the_kunz_count_through_genus_18(monkeypatch):
+    # an independent route with no child step: the (genus, multiplicity)
+    # table through genus 18, and the generator tuples through genus 15
+    monkeypatch.setenv(ENV_WORK_CEILING, "18")
+    walked, counted = {}, {}
+    for s in enumerate_semigroups(18):
+        walked.setdefault((s.genus, s.multiplicity), []).append(s.generators)
+    for genus, m, generators in kunz_semigroups(18):
+        counted.setdefault((genus, m), []).append(generators)
+    assert {key: len(found) for key, found in walked.items()} == {
+        key: len(found) for key, found in counted.items()
+    }
+    assert sum(map(len, counted.values())) == 33282
+    low = [key for key in counted if key[0] <= 15]
+    assert sum(len(counted[key]) for key in low) == 6964
+    for key in low:
+        assert sorted(walked[key]) == sorted(counted[key]), key
 
 
 def test_child_step_matches_rebuild_through_genus_15():

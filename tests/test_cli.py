@@ -122,6 +122,21 @@ def test_info_with_gaps_past_sys_maxsize_fails_before_any_output(fmt, capsys):
             gap_list(nsg.make_semigroup([2, big]))
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "command", ["star", "info", "ci-tree", "presentation", "classify", "hypotheses"]
+)
+def test_a_multiplicity_past_sys_maxsize_fails_before_any_output(command, fmt, capsys):
+    # the Apery table would have m entries, more than any list can hold
+    big = 10**20
+    code, out, err = run_cli(capsys, command, f"{big},{big + 1}", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot build an Apery table mod {big}: m = {big} "
+        f"exceeds sys.maxsize = {sys.maxsize}\n"
+    )
+
+
 class WriteSizes(io.StringIO):
     """A text sink that keeps the length of every write."""
 

@@ -179,6 +179,21 @@ def test_apery_set_with_other_element():
     assert apery_set(s, 4) is s.apery
 
 
+def test_a_multiplicity_past_sys_maxsize_is_refused_before_any_table():
+    # no list holds m entries, so the check comes before the table's allocation
+    big = 10**20
+    message = (
+        f"cannot build an Apery table mod {big}: m = {big} exceeds sys.maxsize = {sys.maxsize}"
+    )
+    for build in (
+        lambda: make_semigroup([big, big + 1]),
+        lambda: apery_set(make_semigroup([2, 3]), big),
+    ):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
 def test_apery_set_rejects_non_elements():
     s = make_semigroup([4, 6, 9])
     with pytest.raises(NotAnElementError):
@@ -300,16 +315,18 @@ def _naive_run_count(gap_list):
 @pytest.fixture
 def gap_routes(monkeypatch):
     """The set of routes ("runs", "compress") that wrote a chunk since the last clear."""
-    used = set()
-    for name, route in (("_template_chunks", "runs"), ("_compress_chunks", "compress")):
-        real = getattr(core, name)
+    # gap_chunks returns the generator of the route it chose, named after it
+    used, real = set(), core.gap_chunks
+    routes = {"_template_chunks": "runs", "_compress_chunks": "compress"}
 
-        def spy(*args, real=real, route=route):
-            for chunk in real(*args):
-                used.add(route)
-                yield chunk
+    def spy(*args):
+        chunks = real(*args)
+        route = routes[chunks.__name__]
+        for chunk in chunks:
+            used.add(route)
+            yield chunk
 
-        monkeypatch.setattr(core, name, spy)
+    monkeypatch.setattr(core, "gap_chunks", spy)
     return used
 
 
@@ -712,28 +729,20 @@ def test_nsg_runs_every_subcommand_without_dataclasses_and_keeps_their_api(tmp_p
     assert proc.stdout.splitlines() == ["[]", str(fields)]
 
 
-def test_value_class_refuses_what_its_init_would_skip():
-    class Default:
-        a: int
-        b: int = 1
-
-    class PostInit:
-        a: int
-
-        def __post_init__(self):
-            pass
-
-    class Init:
-        a: int
-        b: dataclasses.InitVar[int]
-
-    class Keyword:
-        a: int
-        b: int = dataclasses.field(kw_only=True)
-
-    for cls in (Default, PostInit, Init, Keyword):
-        with pytest.raises(TypeError, match="required parameter"):
-            core._value_class(cls)
+def _check_value_class_declaration(node):
+    """_value_class's __init__ takes every annotation as a required parameter,
+    so a default, a ClassVar, InitVar or KW_ONLY annotation or a
+    __post_init__ would lose what a dataclass does with it."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign):
+            assert stmt.value is None, (node.name, stmt.target.id)
+            # the head, as written or quoted: the name before any "[" and
+            # after the last "."
+            text = ast.unparse(stmt.annotation).strip("'\"")
+            head = text.split("[", 1)[0].rsplit(".", 1)[-1].strip()
+            assert head not in ("ClassVar", "InitVar", "KW_ONLY"), (node.name, stmt.target.id)
+        elif isinstance(stmt, ast.FunctionDef):
+            assert stmt.name != "__post_init__", node.name
 
 
 def test_every_dataclass_is_declared_by_value_class():
@@ -749,5 +758,7 @@ def test_every_dataclass_is_declared_by_value_class():
                     name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
                     if name in declared:
                         declared[name].append(node.name)
+                    if name == "_value_class":
+                        _check_value_class_declaration(node)
     assert declared["dataclass"] == []
     assert sorted(declared["_value_class"]) == sorted(cls.__name__ for cls in value_samples())
