@@ -91,12 +91,14 @@ SINGLE = (
     ("info", HUGE),
 )
 # (left, right, lambda, mu) of mu*left + lambda*right; glue and inductive
-# exit 1 on the last, and inductive on the first, whose left side fails star
+# exit 1 on the last two, and inductive on the first, whose left side fails star
 GLUINGS = (
     ("3,5", "4,6,9", "9", "10"),  # multiplicity mu*3 = 30 < lambda*4 = 36
     ("4,6,9", "3,5", "10", "9"),  # multiplicity lambda*3 = 30 < mu*4 = 36
     ("3,7", "1", "10", "3"),  # N on the right, multiplicity mu*3 = 9
     ("2,3", "2,3", "3", "5"),  # lambda = 3 is a generator of the left side
+    # multiplicity lambda*4 = 4 * 10^20 > sys.maxsize: one error line, no table
+    ("3,5", "4,6,9", "100000000000000000000", "10000000000000000000001"),
 )
 CENSUS = (
     ("enumerate", "--max-genus", "8"),

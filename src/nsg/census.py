@@ -9,7 +9,8 @@ stays bounded by the tree depth.  A child is derived from its parent, not
 rebuilt: removing g changes one Apery entry (g becomes g + m), sets F = g,
 and adds at most one minimal generator, g + m, which is tested against the
 kept generators and appended last (_remove_generator has the proof).  Only
-the ordinary semigroups, children through g = m, are built afresh.
+the ordinary semigroups, the spine the walk starts from, are built afresh,
+once each (_walk has the proof that no other node removes its multiplicity).
 
 A record costs a few object builds, so the census keeps each one cheap:
 records and semigroups are built with positional arguments (six of them,
@@ -134,12 +135,10 @@ def natural_numbers() -> NumericalSemigroup:
 def _remove_generator(
     semigroup: NumericalSemigroup, g: int
 ) -> NumericalSemigroup:
-    """The child S - {g}, for a minimal generator g > F(S).
+    """The child S - {g}, for a minimal generator g > F(S) other than m.
 
-    For g = m the semigroup is ordinary, {0} and every integer >= m, and the
-    child {0} and every integer > m is built from its generators
-    m + 1, ..., 2m + 1, coprime as listed, by _build.  Otherwise the child
-    T = S - {g} is read off S:
+    Only an ordinary S can remove m, and _walk builds those children, the
+    spine, itself (proof there).  The child T = S - {g} is read off S:
 
     * Apery table: the entry of S at g mod m was g, since g - m is not in S
       when g is a minimal generator other than m.  Every other entry is an
@@ -170,8 +169,6 @@ def _remove_generator(
     (figures in the module docstring).
     """
     m = semigroup.multiplicity
-    if g == m:
-        return _build(tuple(range(m + 1, 2 * m + 2)))
     entries = list(semigroup.apery.entries)
     entries[g % m] = g + m
     generators = [a for a in semigroup.generators if a != g]
@@ -192,8 +189,28 @@ def _remove_generator(
     )
 
 
-def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:
-    """root and its descendants of genus <= max_genus, in preorder.
+def _walk(max_genus: int) -> Iterator[NumericalSemigroup]:
+    """Every numerical semigroup of genus <= max_genus, in the tree's preorder.
+
+    The preorder is the recursive one from N, children in ascending removed
+    generator, but the spine of ordinary semigroups O_m = <m, ..., 2m - 1>,
+    {0} and every integer >= m, comes first and is built directly:
+
+    * a child S - {g} keeps the multiplicity m of S unless g = m;
+    * every semigroup of multiplicity m other than O_m has F > m: N is the
+      only one of multiplicity 1, and for m >= 2, 1, ..., m - 1 are gaps,
+      F = m - 1 leaves only O_m, and m is no gap; so only O_m can remove
+      m, as a child removes some g > F;
+    * O_m - {m} = O_(m+1), and O_m has genus m - 1.
+
+    So O_1 = N has the one child O_2, and the preorder below O_m is O_m,
+    the preorder below O_(m+1) (if m - 1 < max_genus), then the subtrees
+    under O_m's other children.  Unrolled, it is the spine O_1, ...,
+    O_(max_genus + 1), then those subtrees for m = max_genus down to 2.  The
+    stack is seeded with the removals g != m of each O_m, in ascending m,
+    each O_m's in descending g.  No node popped later is ordinary, as it
+    has multiplicity m and a genus above m - 1, so each g it pushes
+    exceeds F > m, and _remove_generator never sees g = m.
 
     The stack holds the pending removals (parent, g) along the current
     path.  They are pushed in descending g, so children come in ascending
@@ -208,9 +225,13 @@ def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigro
     above g1, so D > E, or none, so D = <P> lies in E without g1 and has
     the larger genus.  For g1 = m, P is empty.
     """
-    node = root
-    stack = []
-    while True:
+    spine = [_build(tuple(range(m, 2 * m))) for m in range(1, max_genus + 2)]
+    yield from spine
+    # spine[:max_genus] has genus below the bound; O_m's generators
+    # m, ..., 2m - 1 all exceed F = m - 1, and [1:] leaves out m
+    stack = [(node, g) for node in spine[:max_genus] for g in reversed(node.generators[1:])]
+    while stack:
+        node = _remove_generator(*stack.pop())
         yield node
         if node.genus < max_genus:
             f = node.frobenius
@@ -219,9 +240,6 @@ def _walk(root: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigro
                 if g <= f:
                     break
                 stack.append((node, g))
-        if not stack:
-            return
-        node = _remove_generator(*stack.pop())
 
 
 def _check_bound(max_genus: int) -> None:
@@ -242,7 +260,7 @@ def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup of genus <= max_genus, depth-first; within
     a genus in strictly descending generator order (proof at _walk)."""
     _check_bound(max_genus)
-    return _walk(natural_numbers(), max_genus)
+    return _walk(max_genus)
 
 
 def record_for(semigroup: NumericalSemigroup) -> CensusRecord:
@@ -272,11 +290,13 @@ def enumerate_records(max_genus: int) -> list[CensusRecord]:
     Canonical order is ascending (genus, generators).  _walk gives each
     genus in strictly descending generator order (proof there), so each
     genus's records, appended to its own list in walk order and read back
-    reversed, ascend; the lists go in ascending genus.
+    reversed, ascend; the lists go in ascending genus.  The walk comes from
+    enumerate_semigroups, which checks the bound before the buckets are
+    made: range would raise its own TypeError first for a float or str.
     """
-    _check_bound(max_genus)
+    walk = enumerate_semigroups(max_genus)
     buckets = [[] for _ in range(max_genus + 1)]
-    for s in _walk(natural_numbers(), max_genus):
+    for s in walk:
         buckets[s.genus].append(record_for(s))
     records = []
     for bucket in buckets:
@@ -308,7 +328,6 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
     So the summary can be folded over the walk, which is not canonical.
     """
     per_genus = [0] * (bound + 1)
-    total = 0
     ci_count = 0
     exceptions = []
     counterexamples = []
@@ -318,7 +337,6 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
                 f"record {list(record.generators)} has genus {record.genus}, "
                 f"outside 0..{bound}"
             )
-        total += 1
         per_genus[record.genus] += 1
         if record.is_ci:
             ci_count += 1
@@ -329,7 +347,7 @@ def summarize(records: Iterable[CensusRecord], bound: int) -> VerificationSummar
             counterexamples.append((record.genus, record.generators))
     return VerificationSummary(
         bound=bound,
-        total=total,
+        total=sum(per_genus),
         ci_count=ci_count,
         exceptions_found=tuple(gens for _, gens in sorted(exceptions)),
         counterexamples=tuple(gens for _, gens in sorted(counterexamples)),

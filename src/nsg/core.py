@@ -51,8 +51,8 @@ Everything is exact integer arithmetic; construction does all the work once
 and the resulting objects are immutable.  make_semigroup validates its input
 on every call, then builds through one 4096-entry lru cache, _build, keyed by
 the sorted distinct entries, so equal generator sets share one object.  Lists
-already valid as made (ci_tree's quotients, the census's ordinary children)
-go to _build directly.
+already valid as made (ci_tree's quotients, the census's ordinary
+semigroups) go to _build directly.
 A glued semigroup does not come this way: glue sums its table from the two
 sides by the gluing Apery lemma (proof at gluing._glued) and hands it to
 the same _from_table that finishes every build.

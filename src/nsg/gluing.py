@@ -47,6 +47,7 @@ sum(generators), and it coincides with the Frobenius number.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd, isqrt
@@ -223,12 +224,19 @@ def _glued(
     O(e2 * mu), instead of a round robin over all e generators mod m.
 
     Under glue's checks the scaled generators are the minimal ones (Rosales,
-    Semigroup Forum 1997), so they are stored as they are.
+    Semigroup Forum 1997), so they are stored as they are.  No list is
+    longer than sys.maxsize, so a larger m raises ValueError before the
+    table is allocated.
     """
     scaled = sorted([mu * a for a in left.generators] + [lam * b for b in right.generators])
+    # m is the smaller scaled multiplicity, whichever side the swap puts
+    # first, so it is checked while the gluing still reads as glue was called
+    m = min(mu * left.multiplicity, lam * right.multiplicity)
+    if m > sys.maxsize:
+        glued = f"{mu}*{left} + {lam}*{right}"
+        raise ValueError(f"cannot glue {glued}: m = {m} exceeds sys.maxsize = {sys.maxsize}")
     if lam * right.multiplicity < mu * left.multiplicity:
         left, right, lam, mu = right, left, mu, lam
-    m = mu * left.multiplicity
     entries = [0] * m
     base = [mu * w for w in left.apery.entries]
     for v in _side_table(right, mu):

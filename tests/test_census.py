@@ -42,7 +42,6 @@ from nsg.census import (
     _line,
     _record_from_doc,
     _remove_generator,
-    _walk,
 )
 
 from oracles import kunz_semigroups, naive_semigroups
@@ -62,16 +61,43 @@ def test_walk_yields_each_semigroup_once():
 
 
 def test_walk_matches_recursive_preorder_through_genus_15():
+    # the walk yields the spine first (proof at census._walk); the recursive
+    # preorder reaches O_(m+1) = <m + 1, ..., 2m + 1> as the child g = m
     def reference(node, max_genus):
         yield node.generators
         if node.genus < max_genus:
+            m = node.multiplicity
             for g in node.generators:
-                if g > node.frobenius:
-                    yield from reference(_remove_generator(node, g), max_genus)
+                if g <= node.frobenius:
+                    continue
+                if g == m:
+                    child = make_semigroup(list(range(m + 1, 2 * m + 2)))
+                else:
+                    child = _remove_generator(node, g)
+                yield from reference(child, max_genus)
 
-    walked = [s.generators for s in _walk(natural_numbers(), 15)]
+    walked = [s.generators for s in enumerate_semigroups(15)]
     assert walked == list(reference(natural_numbers(), 15))
     assert len(walked) == 6964
+
+
+def test_walk_builds_the_spine_once_and_never_removes_a_multiplicity(monkeypatch):
+    built, removed = [], []
+    real_build, real_remove = nsg.census._build, nsg.census._remove_generator
+
+    def build(generators):
+        built.append(generators)
+        return real_build(generators)
+
+    def remove(node, g):
+        removed.append(g == node.multiplicity)
+        return real_remove(node, g)
+
+    monkeypatch.setattr(nsg.census, "_build", build)
+    monkeypatch.setattr(nsg.census, "_remove_generator", remove)
+    assert sum(1 for _ in enumerate_semigroups(15)) == 6964
+    assert built == [tuple(range(m, 2 * m)) for m in range(1, 17)]
+    assert len(removed) == 6964 - 16 and not any(removed)
 
 
 def test_walk_gives_each_genus_in_descending_generator_order_through_genus_15():
@@ -112,27 +138,39 @@ def test_walk_matches_the_kunz_count_through_genus_18(monkeypatch):
         assert sorted(walked[key]) == sorted(counted[key]), key
 
 
-def test_child_step_matches_rebuild_through_genus_15():
+def test_child_step_matches_rebuild_through_genus_15(monkeypatch):
     # every child of every node of genus <= 15, against make_semigroup of its
     # elements up to 2g + 1 (its generators are at most g + m); membership
-    # reads the parent, which was itself checked one level up, back to N
+    # reads the parent, which was itself checked one level up, back to N.
+    # The child g = m is the spine's next link, O_(m+1), as the walk
+    # through genus 16 yields it; only an ordinary node has it
+    monkeypatch.setenv(ENV_WORK_CEILING, "16")
+    walked = list(enumerate_semigroups(16))
+    # 1, ..., m - 1 are gaps, so genus m - 1 is the ordinary semigroup's
+    spine = {s.multiplicity: s for s in walked if s.genus == s.multiplicity - 1}
+    assert sorted(spine) == list(range(1, 18))
     children = 0
-    for node in enumerate_semigroups(15):
+    for node in walked:
+        if node.genus == 16:
+            continue
         m = node.multiplicity
         for g in node.generators:
             if g <= node.frobenius:
                 continue
-            child = _remove_generator(node, g)
             rebuilt = make_semigroup(
                 [n for n in range(1, 2 * g + 2) if n != g and n in node]
             )
-            # dataclass equality: generators, multiplicity, embedding_dim,
-            # Apery modulus and entries, frobenius and genus
-            assert child == rebuilt, (node.generators, g)
-            if g != m:
+            if g == m:
+                assert node is spine[m], node.generators
+                child = spine[m + 1]
+            else:
+                child = _remove_generator(node, g)
                 # the one candidate the child step tests
                 assert set(child.generators) - set(node.generators) <= {g + m}, (
                     node.generators, g)
+            # dataclass equality: generators, multiplicity, embedding_dim,
+            # Apery modulus and entries, frobenius and genus
+            assert child == rebuilt, (node.generators, g)
             children += 1
     # the children are exactly the semigroups of genus 1..16 (A007323)
     assert children == 11769
@@ -174,11 +212,11 @@ def test_enumerate_rejects_bad_bounds(monkeypatch):
 @pytest.mark.parametrize("bound", [2.5, "3", True, Decimal(2)])
 def test_a_bound_that_is_not_an_int_is_refused_before_any_work(bound, monkeypatch):
     # a float bound once walked past itself, to genus 3 for 2.5; the check
-    # comes before the walk starts, so no node is built
+    # comes before the walk is made, so no node is built
     def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(nsg.census, "natural_numbers", no_walk)
+    monkeypatch.setattr(nsg.census, "_walk", no_walk)
     for entry in (enumerate_semigroups, enumerate_records, verify_star):
         with pytest.raises(TypeError, match=re.escape(f"max_genus must be an int, got {bound!r}")):
             entry(bound)

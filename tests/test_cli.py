@@ -137,6 +137,20 @@ def test_a_multiplicity_past_sys_maxsize_fails_before_any_output(command, fmt, c
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["glue", "inductive"])
+def test_a_glued_multiplicity_past_sys_maxsize_fails_before_any_output(command, fmt, capsys):
+    # m = lambda * 4 = 4 * 10^20 entries, more than any list can hold
+    lam, mu = 10**20, 10**22 + 1
+    gluing = ("3,5", "4,6,9", "--lambda", str(lam), "--mu", str(mu))
+    code, out, err = run_cli(capsys, command, *gluing, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot glue {mu}*<3,5> + {lam}*<4,6,9>: m = {4 * lam} "
+        f"exceeds sys.maxsize = {sys.maxsize}\n"
+    )
+
+
 class WriteSizes(io.StringIO):
     """A text sink that keeps the length of every write."""
 

@@ -1,5 +1,6 @@
 """Gluings, CI certificates, the a-invariant, and the three-generator family."""
 
+import sys
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -125,6 +126,23 @@ def test_glue_rejects_common_factor():
     s = make_semigroup([2, 3])
     with pytest.raises(NotCoprimeError):
         glue(s, s, 4, 6)
+
+
+def test_a_glued_multiplicity_past_sys_maxsize_is_refused_before_any_table():
+    # no list holds m entries; the smaller scaled multiplicity is m whichever
+    # side it comes from, and the message names the gluing as glue was called
+    left, right = make_semigroup([3, 5]), make_semigroup([4, 6, 9])
+    lam, mu = 10**20, 10**22 + 1
+    m = 4 * lam
+    for args, written in (
+        ((left, right, lam, mu), f"{mu}*<3,5> + {lam}*<4,6,9>"),
+        ((right, left, mu, lam), f"{lam}*<4,6,9> + {mu}*<3,5>"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            glue(*args)
+        assert str(raised.value) == (
+            f"cannot glue {written}: m = {m} exceeds sys.maxsize = {sys.maxsize}"
+        )
 
 
 def test_find_gluings_flagship():

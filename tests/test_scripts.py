@@ -54,13 +54,17 @@ def test_cli_digest_lists_every_command_and_the_info_pins(capsys):
     for command in (("enumerate", "--max-genus", "8"), ("verify", "--max-genus", "10")):
         for fmt in ("json", "text"):
             assert digests[(*command, "--format", fmt)][0] == "0"
-    # the commands that exit 1: a multiplicity above sys.maxsize, an
-    # ineligible lambda for both gluing commands, and a left side failing
-    # star for inductive; they alone write to stderr
+    # the commands that exit 1: a multiplicity above sys.maxsize, of a
+    # semigroup or of a gluing, an ineligible lambda for both gluing
+    # commands, and a left side failing star for inductive; they alone
+    # write to stderr
+    huge_gluing = ("3,5", "4,6,9", "--lambda", str(10**20), "--mu", str(10**22 + 1))
     failing = {argv[:-2] for argv, (code, _, _) in digests.items() if code != "0"}
     assert failing == {
         ("star", module.HUGE),
         ("info", module.HUGE),
+        ("glue", *huge_gluing),
+        ("inductive", *huge_gluing),
         ("glue", "2,3", "2,3", "--lambda", "3", "--mu", "5"),
         ("inductive", "2,3", "2,3", "--lambda", "3", "--mu", "5"),
         ("inductive", "3,5", "4,6,9", "--lambda", "9", "--mu", "10"),
