@@ -86,6 +86,14 @@ SINGLE = (
         for generators in ("2,5", "3,4", "3,5", "4,5,7")
         for command in ("star", "classify", "hypotheses")
     ),
+    # two CI candidates by the multiplicity bound (m = 8 = 2^3): <8,9,10,14>
+    # is not symmetric and has a split, so symmetry settles it before any
+    # search; <8,9,10,11> is symmetric and has no split, so it is searched
+    *(
+        (command, generators)
+        for generators in ("8,9,10,14", "8,9,10,11")
+        for command in ("ci-tree", "classify")
+    ),
     # a multiplicity above sys.maxsize: one error line, no table
     ("star", HUGE),
     ("info", HUGE),

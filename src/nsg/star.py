@@ -79,7 +79,7 @@ from math import gcd
 
 from .core import NumericalSemigroup, _value_class
 from .errors import HypothesesNotMetError, InvalidPairError
-from .gluing import _below_ci_bound, ci_tree, glue
+from .gluing import _ci_tree, _not_symmetric_or_below_bound, ci_tree, glue
 
 __all__ = [
     "EXCEPTION_TAGS",
@@ -224,11 +224,12 @@ def _classify(semigroup: NumericalSemigroup) -> tuple[StarReport, ExceptionClass
     """The star report and exception tag of one semigroup, by one route.
 
     N gets its undefined report and the tag undefined.  A semigroup with
-    m < 2^(e-1) is no complete intersection (proof at gluing.ci_tree), so it
-    gets the undefined report of its F and not_ci, both shared (_undefined),
-    with no ci_tree call.  Every other semigroup takes one ci_tree call:
-    without a tree it is no complete intersection either, and with one
-    d_max is the last of the tree's degrees, stored ascending.
+    m < 2^(e-1) or 2g != F + 1 is no complete intersection (proofs at
+    gluing.ci_tree), so it gets the undefined report of its F and not_ci,
+    both shared (_undefined), with no search.  Every other semigroup takes
+    one call of the cached search gluing._ci_tree, past the checks ci_tree
+    would repeat: without a tree it is no complete intersection either, and
+    with one d_max is the last of the tree's degrees, stored ascending.
 
     The tag of a complete intersection comes from its generator pattern
     alone, never from the margin: its promised verdict (expected_verdict)
@@ -237,7 +238,7 @@ def _classify(semigroup: NumericalSemigroup) -> tuple[StarReport, ExceptionClass
     record, a check only while the tag is not read off the verdict.
     """
     e = semigroup.embedding_dim
-    tree = None if e == 1 or _below_ci_bound(semigroup) else ci_tree(semigroup)
+    tree = None if e == 1 or _not_symmetric_or_below_bound(semigroup) else _ci_tree(semigroup)
     if tree is None:
         return _undefined(semigroup.frobenius)
     d_max = tree.degrees[-1]

@@ -68,6 +68,39 @@ def naive_apery(raw_generators, m):
     return out
 
 
+def hilbert_identity_holds(raw_generators, degrees):
+    """Whether prod(1 - t^a) * H_S(t) = prod(1 - t^d) for S = <raw_generators>.
+
+    H_S(t) is the sum of t^s over the elements s of S, and the identity is
+    the Hilbert series of a graded complete intersection
+    k[x_1..x_e]/(f_1..f_(e-1)) with deg x_i = a_i and deg f_j = d_j, so it
+    holds for the relation degrees of a complete intersection.  It also
+    determines them: the least d has coefficient minus its multiplicity in
+    prod(1 - t^d), as every other product of factors has a higher degree;
+    divide those factors out and repeat.
+
+    The gaps come from naive_apery: class r mod m holds the gaps r, r + m,
+    ... below its Apery element.  With G(t) the sum of t^gap, of degree F,
+    H_S(t) = 1/(1 - t) - G(t), so the left side is a polynomial of degree
+    at most F + sum(a), as (1 - t^a)/(1 - t) is one of degree a - 1.  Both
+    sides are compared through degree max(F + sum(a), sum(d)) + 1, which is
+    sum(d) + 1 when the a-invariant sum(d) - sum(a) is F: all of both
+    polynomials.
+    """
+    gens = sorted(set(raw_generators))
+    m = gens[0]
+    gaps = {n for r, w in enumerate(naive_apery(gens, m)) for n in range(r, w, m)}
+    top = max(max(gaps, default=-1) + sum(gens), sum(degrees)) + 1
+    left = [int(n not in gaps) for n in range(top + 1)]
+    right = [1] + [0] * top
+    for factors, series in ((gens, left), (degrees, right)):
+        for a in factors:
+            # times (1 - t^a), from the top down so each term reads its old value
+            for n in range(top, a - 1, -1):
+                series[n] -= series[n - a]
+    return left == right
+
+
 def naive_factorizations(generators, n):
     """All coordinate tuples c with sum(c[i] * generators[i]) == n."""
     gens = list(generators)

@@ -194,6 +194,11 @@ def _gluing_identities_hold(left, right, lam, mu):
     glued = glue(left, right, lam, mu)
     d = extra_degree(glued, left, right, lam, mu)
     frob_ok = glued.frobenius == d + mu * left.frobenius + lam * right.frobenius
+    # g = mu*g1 + lam*g2 + (lam - 1)(mu - 1)/2, by Selmer's formula (proof at
+    # nsg.gluing.ci_tree); doubled, so no division
+    genus_ok = 2 * glued.genus == (
+        2 * mu * left.genus + 2 * lam * right.genus + (lam - 1) * (mu - 1)
+    )
     expected = Counter(mu * x for x in relation_degrees(left))
     expected += Counter(lam * x for x in relation_degrees(right))
     expected[d] += 1
@@ -202,7 +207,7 @@ def _gluing_identities_hold(left, right, lam, mu):
     tree_ok = (ci_tree(glued) is not None) == (
         ci_tree(left) is not None and ci_tree(right) is not None
     )
-    return glued, frob_ok and degrees_ok and tree_ok and d % (lam * mu) == 0
+    return glued, frob_ok and genus_ok and degrees_ok and tree_ok and d % (lam * mu) == 0
 
 
 def test_criterion_5_gluing_identities_at_scale():
@@ -248,7 +253,7 @@ def test_criterion_5_gluing_identities_at_scale():
                     break
     ok = checked >= 500 and not failures and goldens_ok
     assert report(
-        "criterion 5 (gluing degree and Frobenius identities, >= 500 cases)",
+        "criterion 5 (gluing degree, Frobenius and genus identities, >= 500 cases)",
         ok,
         f"{checked} gluings checked, {len(failures)} identity failures, "
         f"worked goldens verified: {goldens_ok}",

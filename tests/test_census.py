@@ -259,23 +259,27 @@ def test_records_are_canonically_ordered():
 
 
 def _ci_candidate(s):
-    # the multiplicity bound of a complete intersection other than N,
-    # written out here rather than read from nsg.gluing
-    return s.embedding_dim > 1 and s.multiplicity >= 2 ** (s.embedding_dim - 1)
+    # the multiplicity bound and the symmetry of a complete intersection
+    # other than N, written out here rather than read from nsg.gluing
+    return (
+        s.embedding_dim > 1
+        and s.multiplicity >= 2 ** (s.embedding_dim - 1)
+        and 2 * s.genus == s.frobenius + 1
+    )
 
 
 def test_one_ci_decision_per_census_record(monkeypatch):
-    # a CI candidate gets one ci_tree call, through star._classify, on each
-    # route to its report or tag; N needs no decision, and a node below the
-    # bound is settled without one
-    real = nsg.star.ci_tree
+    # a CI candidate gets one call of the split search, from star._classify,
+    # on each route to its report or tag; N needs no decision, and a node
+    # below the bound or not symmetric is settled without one
+    real = nsg.star._ci_tree
     calls = []
 
     def counted(semigroup):
         calls.append(semigroup.generators)
         return real(semigroup)
 
-    monkeypatch.setattr(nsg.star, "ci_tree", counted)
+    monkeypatch.setattr(nsg.star, "_ci_tree", counted)
     settled = 0
     for s in enumerate_semigroups(10):
         for entry in (record_for, star_report, classify_exception, hypotheses_report):

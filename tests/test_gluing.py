@@ -28,10 +28,11 @@ from nsg import (
     three_gen_family,
 )
 import nsg.gluing as gluing
+from nsg.census import ENV_WORK_CEILING
 from nsg.core import _build
 from nsg.gluing import _ci_tree
 
-from oracles import naive_frobenius, naive_member
+from oracles import hilbert_identity_holds, naive_frobenius, naive_genus, naive_member
 from test_presentations import seeded_gluings
 
 
@@ -286,25 +287,35 @@ def test_split_quotients_are_the_objects_make_semigroup_returns():
 
 
 def test_ci_tree_rejects_by_the_prefilter_before_its_cache(monkeypatch):
-    # N and the semigroups with m < 2^(e-1) are settled by ci_tree itself;
-    # only the rest reach the cached search, and hence its cache
+    # N, the semigroups with m < 2^(e-1) and the non-symmetric ones,
+    # 2g != F + 1, are settled by ci_tree itself; only the rest reach the
+    # cached search, and hence its cache
     searched = []
     real = gluing._ci_tree
     monkeypatch.setattr(gluing, "_ci_tree", lambda s: searched.append(s) or real(s))
     swept = list(enumerate_semigroups(12))
-    rejected = [s for s in swept if s.multiplicity < 2 ** (s.embedding_dim - 1)]
-    assert (len(swept), len(rejected)) == (1413, 1305)
-    for s in rejected:
+    below, asymmetric, candidates = [], [], []
+    for s in swept[1:]:
+        if s.multiplicity < 2 ** (s.embedding_dim - 1):
+            below.append(s)
+        elif 2 * s.genus != s.frobenius + 1:
+            asymmetric.append(s)
+        else:
+            candidates.append(s)
+    assert swept[0].generators == (1,)
+    assert (len(swept), len(below), len(asymmetric), len(candidates)) == (1413, 1305, 53, 54)
+    # some non-symmetric ones have a split, which the search would build
+    assert any(find_gluings(s) for s in asymmetric)
+    for s in below + asymmetric:
         assert ci_tree(s) is None
     assert ci_tree(make_semigroup([1])).is_leaf
     assert searched == []
     for s in swept:
         ci_tree(s)
-    assert searched
-    assert all(
-        s.embedding_dim > 1 and s.multiplicity >= 2 ** (s.embedding_dim - 1)
-        for s in searched
-    )
+    # the quotients a search recurses into are swept too, so the searched
+    # semigroups are exactly the candidates, each symmetric
+    assert set(searched) == set(candidates)
+    assert all(2 * s.genus == s.frobenius + 1 for s in searched)
     # a rejected semigroup of genus 13, built outside make_semigroup's cache,
     # is kept by no cache
     loose = _build.__wrapped__((10, 11, 12, 13, 14, 15))
@@ -313,6 +324,43 @@ def test_ci_tree_rejects_by_the_prefilter_before_its_cache(monkeypatch):
     assert ci_tree(loose) is None
     del loose
     assert kept() is None
+
+
+# the two ci-tree inputs of the benchmark's large-single ladder
+LADDER_CI_TREES = ((48, 60, 72, 80, 126, 315), (110, 120, 176, 180, 210, 264, 495))
+
+
+def test_every_complete_intersection_is_symmetric():
+    # a CI has 2g = F + 1 (proof at ci_tree), here with CI decided by the
+    # relation count of the minimal presentation instead of by ci_tree, and
+    # g and F from the oracle.  No semigroup below the multiplicity bound
+    # is a CI (test_multiplicity_prefilter_rejects_only_non_ci_through_genus_15),
+    # so of genus <= 15 only the rest are presented
+    semigroups = [
+        s for s in enumerate_semigroups(15) if s.multiplicity >= 2 ** (s.embedding_dim - 1)
+    ]
+    semigroups += seeded_gluings()
+    semigroups += [make_semigroup(list(gens)) for gens in LADDER_CI_TREES]
+    cis = [
+        s.generators for s in semigroups
+        if len(minimal_presentation(s).relations) == s.embedding_dim - 1
+    ]
+    for gens in cis:
+        assert 2 * naive_genus(gens) == naive_frobenius(gens) + 1, gens
+    # CIs of genus <= 15 (N included), CI gluings, the two ladder inputs
+    assert len(cis) == 87 + 28 + 2
+
+
+def test_ci_tree_degrees_satisfy_the_hilbert_series_identity(monkeypatch):
+    # prod(1 - t^a) * H_S(t) = prod(1 - t^d) determines the degrees d, and
+    # the oracle computes H_S from its own Apery sets
+    monkeypatch.setenv(ENV_WORK_CEILING, "20")
+    cis = [s for s in enumerate_semigroups(20) if ci_tree(s) is not None]
+    cis += [s for s in seeded_gluings() if ci_tree(s) is not None]
+    for s in cis:
+        assert hilbert_identity_holds(s.generators, ci_tree(s).degrees), s
+    # CIs of genus <= 20 (N included), CI gluings
+    assert len(cis) == 174 + 28
 
 
 def test_ci_tree_degrees_are_computed_once_per_node():
